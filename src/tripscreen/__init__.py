@@ -5,9 +5,9 @@ accelerated with provably safe triplet screening along a regularization path.
 from .linalg import (ConvergenceError, EigDecomp, PsdSplit, check_symmetric,
                      cone_project, cone_split, eig_sym, frob_inner,
                      min_eigpair, psd_split)
-from .problem import (Dataset, DualState, MetricProblem, Partition,
+from .problem import (Dataset, DualState, MetricProblem, Partition, Pins,
                       SmoothedHingeLoss, Triplet, TripletSet, build_triplets)
-from .bounds import (GeneralForm, Sphere, dual_gap_bound, gap_bound,
+from .bounds import (DualityGap, GeneralForm, Sphere, dual_gap_bound, gap_bound,
                      gradient_bound, path_bound, projected_gradient_bound,
                      relaxed_path_bound)
 from .rules import (HalfSpace, LambdaRange, ScreenCounts, TripletStatus,

@@ -3,18 +3,22 @@
 Six constructions are provided.  All return a ``Sphere``; those whose center
 and squared radius are affine/quadratic in 1/lam also carry the coefficients
 of that closed form, which is what the range-based screening consumes.
+
+Every radius that comes from a duality gap takes it from ``gap``, which sums
+nonnegative Fenchel-Young terms instead of subtracting the dual value from
+the primal one, so rounding can widen a ball but never shrink it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .linalg import cone_split
-from .problem import MetricProblem
+from .problem import MetricProblem, Pins
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,89 @@ def _require_positive(lam: float, name: str = "lam"):
         raise ValueError(f"{name} must be positive")
 
 
+class DualityGap(NamedTuple):
+    """Duality gap of the (reduced) objective at a metric M, with what it
+    was computed from.  Per-row arrays cover the free rows ``rows`` (every
+    triplet when None)."""
+
+    value: float
+    rows: Optional[np.ndarray]
+    x: np.ndarray            # <H_t, M>
+    alpha: np.ndarray        # dual weights
+    loss_sum: float          # loss part of the objective at M, pins included
+    s: np.ndarray            # S = S_L + sum over the free rows of alpha_t H_t
+    s_plus: np.ndarray       # [S]_+
+
+
+def _free_rows(problem: MetricProblem, statuses):
+    """(Pins or None, free rows or None for every triplet)."""
+    if statuses is None:
+        return None, None
+    pins = statuses if isinstance(statuses, Pins) else Pins(problem, statuses)
+    if pins.unknown.size == problem.n_triplets:
+        return pins, None
+    return pins, pins.unknown
+
+
+def _dual_sum(problem: MetricProblem, a: np.ndarray, pins, rows) -> np.ndarray:
+    """S = S_L + sum over the free rows of a_t H_t."""
+    s = problem.zero_metric() if pins is None else pins.sum_h_lower
+    support = np.flatnonzero(a > 0.0)
+    if support.size == a.size:
+        return s + problem.accumulate(a, rows)
+    if support.size:
+        return s + problem.accumulate(
+            a[support], support if rows is None else rows[support])
+    return s
+
+
+def gap(problem: MetricProblem, m: np.ndarray, lam: float,
+        statuses: Union[None, np.ndarray, Pins] = None,
+        alpha: Optional[np.ndarray] = None,
+        inner: Optional[np.ndarray] = None) -> DualityGap:
+    """Duality gap at metric ``m`` in Fenchel-Young form,
+
+        sum_t [l(x_t) + l*(-a_t) + a_t x_t] + (lam/2) ||M - S+/lam||^2
+        - <S-, M>,    x_t = <H_t, M>,  S = sum_t a_t H_t,
+
+    which equals P(M) - D(a) without the cancellation of that difference.
+
+    With ``statuses`` (an array of verdicts or a ``Pins``) it is the gap of
+    the reduced objective: LOWER rows are pinned to the linear piece with
+    a_t = 1 and UPPER rows to zero with a_t = 0, so their terms vanish and
+    only the unknown rows are evaluated.  Its ball still contains the
+    optimum whenever the verdicts are safe, and is never wider than the full
+    one.  ``alpha`` (one weight per free row) defaults to the weights read
+    from the loss at M, for which every per-row term is exactly 0; an
+    explicit ``alpha`` adds those terms.  ``inner`` may supply x on the free
+    rows.  Each term is clamped at 0.
+    """
+    _require_positive(lam)
+    m = np.asarray(m, dtype=float)
+    loss = problem.loss
+    pins, rows = _free_rows(problem, statuses)
+    x = problem.inner(m, rows) if inner is None else inner
+    values = loss.value(x)
+    if alpha is None:
+        a = problem.alpha_from_inner(x)
+        fenchel = 0.0
+    else:
+        a = np.clip(np.asarray(alpha, dtype=float), 0.0, 1.0)
+        fenchel = float(np.sum(np.maximum(
+            values + loss.conjugate(a) + a * x, 0.0)))
+    s = _dual_sum(problem, a, pins, rows)
+    s_plus, s_minus = cone_split(s)
+    diff = m - s_plus / lam
+    value = (fenchel + 0.5 * lam * float(np.vdot(diff, diff))
+             + max(0.0, -float(np.vdot(s_minus, m))))
+    loss_sum = float(np.sum(values))
+    if pins is not None and pins.n_lower:
+        loss_sum += (pins.n_lower * (1.0 - 0.5 * loss.gamma)
+                     - float(np.vdot(pins.sum_h_lower, m)))
+    return DualityGap(value=value, rows=rows, x=x, alpha=a,
+                      loss_sum=loss_sum, s=s, s_plus=s_plus)
+
+
 def gradient_bound(m: np.ndarray, grad: np.ndarray, lam: float) -> Sphere:
     """Sphere from any feasible point and a (sub)gradient of the objective
     there: center M - grad/(2 lam), radius ||grad||_F / (2 lam)."""
@@ -90,33 +177,30 @@ def gap_bound(problem: MetricProblem, m: np.ndarray, alpha: np.ndarray,
     2 * (duality gap) / lam."""
     _require_positive(lam)
     m = np.asarray(m, dtype=float)
-    alpha = np.clip(np.asarray(alpha, dtype=float), 0.0, 1.0)
-    x = problem.inner(m) if inner is None else inner
-    loss_sum = float(np.sum(problem.loss.value(x)))
-    fenchel = loss_sum + float(np.sum(problem.loss.conjugate(alpha)))
-    s_plus, _ = cone_split(problem.accumulate(alpha))
-    c = float(np.vdot(s_plus, s_plus))
-    mm = float(np.vdot(m, m))
-    gap = fenchel + 0.5 * lam * mm + 0.5 * c / lam
-    gap = max(gap, 0.0)
+    g = gap(problem, m, lam, alpha=alpha, inner=inner)
+    # The closed form in 1/lam keeps P - D split into its lam-free parts.
+    fenchel = g.loss_sum + float(np.sum(problem.loss.conjugate(g.alpha)))
     form = GeneralForm(a_mat=m, b_mat=np.zeros_like(m),
-                       a=mm, b=2.0 * fenchel, c=c)
-    return Sphere(center=m, radius=math.sqrt(2.0 * gap / lam),
+                       a=float(np.vdot(m, m)), b=2.0 * fenchel,
+                       c=float(np.vdot(g.s_plus, g.s_plus)))
+    return Sphere(center=m, radius=math.sqrt(2.0 * g.value / lam),
                   lam=lam, general_form=form)
 
 
-def dual_gap_bound(problem: MetricProblem, alpha: np.ndarray, lam: float) -> Sphere:
-    """Sphere centered at the dual-induced metric (1/lam)[sum alpha H]_+ with
-    squared radius gap/lam; sqrt(2) tighter than the gap bound when the same
-    dual vector also supplies the primal reference."""
+def dual_gap_bound(problem: MetricProblem, alpha: np.ndarray, lam: float,
+                   statuses: Union[None, np.ndarray, Pins] = None) -> Sphere:
+    """Sphere centered at the dual-induced metric (1/lam)[S]_+ with squared
+    radius gap/lam; sqrt(2) tighter than the gap bound when the same dual
+    vector also supplies the primal reference.  With ``statuses``, S and the
+    gap are those of the reduced objective and ``alpha`` covers the unknown
+    rows (see ``gap``)."""
     _require_positive(lam)
+    pins, rows = _free_rows(problem, statuses)
     alpha = np.clip(np.asarray(alpha, dtype=float), 0.0, 1.0)
-    s_plus, _ = cone_split(problem.accumulate(alpha))
+    s_plus, _ = cone_split(_dual_sum(problem, alpha, pins, rows))
     center = s_plus / lam
-    p = problem.primal_value(center, lam)
-    d = problem.dual_value(alpha, lam, sum_ah_plus=s_plus)
-    gap = max(p - d, 0.0)
-    return Sphere(center=center, radius=math.sqrt(gap / lam), lam=lam)
+    g = gap(problem, center, lam, pins, alpha=alpha)
+    return Sphere(center=center, radius=math.sqrt(g.value / lam), lam=lam)
 
 
 def path_bound(m_opt: np.ndarray, lam0: float, lam1: float) -> Sphere:

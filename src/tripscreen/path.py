@@ -207,12 +207,11 @@ def _record(problem, lam, result, path_lower, path_upper, range_hits,
             t_screen) -> PathRecord:
     m_total = problem.n_triplets
     screened = result.n_lower + result.n_upper
-    boundary = problem.categorize(result.metric).boundary.size
-    screenable = m_total - boundary
+    screenable = m_total - result.n_boundary
     rate_total = screened / m_total
     rate_screenable = min(1.0, screened / screenable) if screenable else 1.0
     return PathRecord(
-        lam=lam, result=result, loss_term=loss_term(problem, result.metric),
+        lam=lam, result=result, loss_term=result.loss_sum,
         path_lower=path_lower, path_upper=path_upper, range_hits=range_hits,
         rate_total=rate_total, rate_screenable=rate_screenable,
         wall_time_solve=result.wall_time,

@@ -9,6 +9,7 @@ inner products against u and v.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -115,12 +116,12 @@ class Triplet:
     def inner(self, m: np.ndarray) -> float:
         """<H, M> for a dense metric, or h . m in diagonal mode."""
         if m.ndim == 1:
-            return float(self.u ** 2 @ m - self.v ** 2 @ m)
+            return float(self.diag() @ m)
         return float(self.u @ m @ self.u - self.v @ m @ self.v)
 
     def diag(self) -> np.ndarray:
-        """Elementwise diagonal of H: u*u - v*v."""
-        return self.u ** 2 - self.v ** 2
+        """Elementwise diagonal of H: (u - v)(u + v)."""
+        return (self.u - self.v) * (self.u + self.v)
 
 
 class TripletSet:
@@ -135,11 +136,7 @@ class TripletSet:
         if not (len(self.anchor) == len(self.same) == len(self.other)
                 == self.u.shape[0] == self.v.shape[0]):
             raise ValueError("triplet arrays must have equal length")
-        # ||H||_F^2 = ||u||^4 + ||v||^4 - 2 <u, v>^2 for rank-2 H.
-        uu = np.einsum("md,md->m", self.u, self.u)
-        vv = np.einsum("md,md->m", self.v, self.v)
-        uv = np.einsum("md,md->m", self.u, self.v)
-        self.hnorm = np.sqrt(np.maximum(uu ** 2 + vv ** 2 - 2.0 * uv ** 2, 0.0))
+        self.hnorm = _rank2_norm(self.u, self.v)
 
     def __len__(self) -> int:
         return self.u.shape[0]
@@ -152,6 +149,25 @@ class TripletSet:
         return Triplet(i=int(self.anchor[t]), j=int(self.same[t]),
                        l=int(self.other[t]), u=self.u[t], v=self.v[t],
                        hnorm=float(self.hnorm[t]))
+
+
+def _rank2_norm(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Frobenius norm of u u^T - v v^T, row by row, without cancellation.
+
+    With w = u - v (= x_j - x_l, exact when x_j and x_l nearly coincide),
+    ||H||^2 = (w.(u+v))^2 + 2 ||u||^2 ||w_perp||^2, where w_perp is the part
+    of w orthogonal to u.  Both terms are nonnegative, whereas the textbook
+    ||u||^4 + ||v||^4 - 2 <u,v>^2 loses every digit as w -> 0 and can
+    understate the norm that every screening rule scales its radius by.
+    """
+    w = u - v
+    uu = np.einsum("md,md->m", u, u)
+    wu = np.einsum("md,md->m", w, u)
+    coef = np.divide(wu, uu, out=np.zeros_like(uu), where=uu > 0.0)
+    w_perp = w - coef[:, None] * u
+    along = np.einsum("md,md->m", w, u + v)
+    return np.sqrt(along ** 2
+                   + 2.0 * uu * np.einsum("md,md->m", w_perp, w_perp))
 
 
 def build_triplets(data: Dataset, k: Optional[int] = None) -> TripletSet:
@@ -199,6 +215,12 @@ def build_triplets(data: Dataset, k: Optional[int] = None) -> TripletSet:
     return TripletSet(anchor, same, other, u, v)
 
 
+class TripletStatus(enum.IntEnum):
+    UNKNOWN = 0
+    LOWER = 1   # certified in the linear part of the loss (dual weight 1)
+    UPPER = 2   # certified in the zero part of the loss (dual weight 0)
+
+
 class DualState(NamedTuple):
     alpha: np.ndarray          # one weight per triplet, in [0, 1]
     gamma_matrix: np.ndarray   # PSD multiplier of the cone constraint
@@ -226,7 +248,8 @@ class MetricProblem:
         self.loss = loss
         self.diagonal = bool(diagonal)
         if self.diagonal:
-            self.h_diag = triplets.u ** 2 - triplets.v ** 2
+            u, v = triplets.u, triplets.v
+            self.h_diag = (u - v) * (u + v)
             self.h_norms = np.linalg.norm(self.h_diag, axis=1)
         else:
             self.h_diag = None
@@ -258,9 +281,6 @@ class MetricProblem:
         u = ts.u if idx is None else ts.u[idx]
         v = ts.v if idx is None else ts.v[idx]
         return np.einsum("md,md->m", u @ m, u) - np.einsum("md,md->m", v @ m, v)
-
-    def inner_single(self, m: np.ndarray, t: int) -> float:
-        return self.triplets[t].inner(m)
 
     def accumulate(self, weights: np.ndarray,
                    idx: Optional[np.ndarray] = None) -> np.ndarray:
@@ -340,12 +360,10 @@ class MetricProblem:
         return float(-0.5 * self.loss.gamma * alpha @ alpha + alpha.sum() - 0.5 * quad)
 
     def duality_gap(self, m: np.ndarray, alpha: np.ndarray, lam: float) -> float:
-        p = self.primal_value(m, lam)
-        d = self.dual_value(alpha, lam)
-        gap = p - d
-        if gap < -1e-9 * max(1.0, abs(p)):
-            raise ArithmeticError(f"weak duality violated: gap={gap:.3e}")
-        return gap
+        """P(M) - D(alpha), in the cancellation-free form of ``bounds.gap``."""
+        from .bounds import gap  # bounds builds on this module
+
+        return gap(self, m, lam, alpha=alpha).value
 
     # -- triplet categorization against a solved metric ---------------------
 
@@ -357,3 +375,41 @@ class MetricProblem:
         upper = np.flatnonzero(x > 1.0)
         boundary = np.flatnonzero((x >= 1.0 - g) & (x <= 1.0))
         return Partition(lower=lower, boundary=boundary, upper=upper)
+
+
+class Pins:
+    """Screening verdicts and the reduced objective they define.
+
+    A LOWER triplet is pinned to the linear piece 1 - gamma/2 - <H, M> of the
+    loss (dual weight 1), an UPPER one to its zero piece (dual weight 0).  The
+    reduced objective lies below the full one and, when the verdicts are
+    safe, has the same minimizer.  ``unknown`` lists the free triplets and
+    ``sum_h_lower`` caches S_L = sum of H_t over the LOWER ones.
+    """
+
+    def __init__(self, problem: MetricProblem,
+                 statuses: Optional[np.ndarray] = None):
+        self.problem = problem
+        m = problem.n_triplets
+        if statuses is None:
+            self.statuses = np.zeros(m, dtype=np.int8)
+        else:
+            self.statuses = np.asarray(statuses, dtype=np.int8).copy()
+            if self.statuses.shape != (m,):
+                raise ValueError("statuses must have one entry per triplet")
+        self.unknown = np.flatnonzero(self.statuses == TripletStatus.UNKNOWN)
+        lower_idx = np.flatnonzero(self.statuses == TripletStatus.LOWER)
+        self.n_lower = lower_idx.size
+        if lower_idx.size:
+            self.sum_h_lower = problem.sum_h(lower_idx)
+        else:
+            self.sum_h_lower = problem.zero_metric()
+
+    def absorb(self, before_lower: np.ndarray):
+        """Refresh the caches after screen_all mutated the statuses."""
+        new_lower = np.flatnonzero(
+            (self.statuses == TripletStatus.LOWER) & ~before_lower)
+        if new_lower.size:
+            self.sum_h_lower = self.sum_h_lower + self.problem.sum_h(new_lower)
+            self.n_lower += new_lower.size
+        self.unknown = np.flatnonzero(self.statuses == TripletStatus.UNKNOWN)

@@ -20,7 +20,6 @@ unsafe verdict.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -29,18 +28,12 @@ import numpy as np
 
 from .bounds import Sphere
 from .linalg import cone_split, min_eigpair
-from .problem import MetricProblem, SmoothedHingeLoss, Triplet
+from .problem import MetricProblem, SmoothedHingeLoss, Triplet, TripletStatus
 
 # Relative slack demanded beyond a certification threshold before a verdict
 # is issued by the iterative PSD rule (its dual values carry eigensolver
 # noise; the closed-form rules compare exactly).
 _SDLS_GUARD = 1e-12
-
-
-class TripletStatus(enum.IntEnum):
-    UNKNOWN = 0
-    LOWER = 1   # certified in the linear part of the loss (dual weight 1)
-    UPPER = 2   # certified in the zero part of the loss (dual weight 0)
 
 
 @dataclass(frozen=True)

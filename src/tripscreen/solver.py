@@ -1,12 +1,19 @@
 """Projected gradient solver with spectral steps, dynamic screening, and an
 active-set mode.
 
-The optimizer minimizes the (possibly screening-reduced) regularized triplet
-loss over the metric cone.  Every ``screen_every`` iterations a checkpoint
-computes the duality gap on the full objective (dual weights of screened
-triplets pinned to 1 on the linear side and 0 on the zero side), rebuilds the
-configured sphere from the current iterate, re-screens the unknown triplets,
-and tests termination.
+The optimizer minimizes the reduced objective over the metric cone: the
+regularized triplet loss with every screened triplet pinned to its certified
+piece of the loss (linear for LOWER, zero for UPPER).  Safe verdicts leave
+the minimizer unchanged.  Every ``screen_every`` iterations a checkpoint
+computes the duality gap of that reduced objective with ``bounds.gap``,
+over the unknown triplets only, so a checkpoint gets cheaper as screening
+proceeds.  The checkpoint then rebuilds the configured sphere from the
+current iterate, re-screens the unknown triplets, and tests termination.
+
+``gap``, ``primal`` and ``dual`` in a ``SolveResult`` refer to the reduced
+objective.  A solve ends converged once the gap reaches ``gap_tol``; it ends
+unconverged at ``max_iter``, or flagged ``stalled`` once its best gap has not
+fallen for ``STALL_CHECKPOINTS`` checkpoints in a row.
 """
 
 from __future__ import annotations
@@ -19,13 +26,17 @@ from typing import List, Optional
 import numpy as np
 
 from . import bounds as sb
-from .linalg import cone_split
-from .problem import MetricProblem
-from .rules import HalfSpace, TripletStatus, halfspace_from_iterate, screen_all
+from .problem import MetricProblem, Pins, TripletStatus
+from .rules import halfspace_from_iterate, screen_all
 
 BOUND_CHOICES = ("none", "gradient", "projected-gradient", "gap", "dual-gap",
                  "relaxed-path", "relaxed-path+projected-gradient")
 RULE_CHOICES = ("sphere", "linear", "psd", "nonneg")
+# A solve whose best gap has not fallen over this many checkpoints in a row
+# has met the rounding floor of its gap (or makes no progress) and stops.
+# Spectral steps are not monotone: converging solves of the test suite went
+# up to 322 checkpoints without a new best gap.
+STALL_CHECKPOINTS = 1000
 
 
 @dataclass
@@ -65,6 +76,21 @@ class ScreenEvent:
 
 @dataclass
 class SolveResult:
+    """Outcome of one solve.
+
+    ``gap``, ``primal`` and ``dual`` belong to the reduced objective at the
+    returned metric: the screened triplets pinned to their certified piece
+    of the loss (see ``bounds.gap``).  Its gap ball contains the optimum of
+    the full problem whenever the verdicts are safe.  ``dual`` is
+    ``primal - gap``.  ``loss_sum`` is the loss part of the reduced primal,
+    which equals the full loss wherever the verdicts hold at the metric, and
+    ``n_boundary`` counts the unknown triplets on the quadratic piece of the
+    loss there.  ``alpha`` holds one dual weight per triplet: 1 and 0 on
+    screened ones, read from the loss on the others.  ``stalled`` flags a
+    solve that gave up because its best gap stopped falling (rounding sets
+    a floor under any gap); it then has ``converged`` False.
+    """
+
     metric: np.ndarray
     alpha: np.ndarray
     gap: float
@@ -76,6 +102,9 @@ class SolveResult:
     converged: bool
     primal: float
     dual: float
+    loss_sum: float
+    n_boundary: int
+    stalled: bool = False
 
     @property
     def n_lower(self) -> int:
@@ -97,87 +126,28 @@ def bb_step(dm: np.ndarray, dg: np.ndarray, fallback: float) -> float:
     return 0.5 * abs(cross / gg + mm / cross)
 
 
-class _ScreenState:
-    """Statuses plus the cached linear-side accumulations they induce."""
-
-    def __init__(self, problem: MetricProblem, statuses: Optional[np.ndarray]):
-        self.problem = problem
-        m = problem.n_triplets
-        if statuses is None:
-            self.statuses = np.zeros(m, dtype=np.int8)
-        else:
-            self.statuses = np.asarray(statuses, dtype=np.int8).copy()
-            if self.statuses.shape != (m,):
-                raise ValueError("statuses must have one entry per triplet")
-        self.unknown = np.flatnonzero(self.statuses == TripletStatus.UNKNOWN)
-        lower_idx = np.flatnonzero(self.statuses == TripletStatus.LOWER)
-        self.n_lower = lower_idx.size
-        if lower_idx.size:
-            self.sum_h_lower = problem.sum_h(lower_idx)
-        else:
-            self.sum_h_lower = problem.zero_metric()
-
-    def absorb(self, before_lower: np.ndarray):
-        """Refresh caches after screen_all mutated the statuses."""
-        new_lower = np.flatnonzero(
-            (self.statuses == TripletStatus.LOWER) & ~before_lower)
-        if new_lower.size:
-            self.sum_h_lower = self.sum_h_lower + self.problem.sum_h(new_lower)
-            self.n_lower += new_lower.size
-        self.unknown = np.flatnonzero(self.statuses == TripletStatus.UNKNOWN)
-
-
-def _full_state(problem, m, lam, state):
-    """Full-objective primal/dual pair with screened dual weights pinned."""
-    loss = problem.loss
-    inner_all = problem.inner(m)
-    primal = float(np.sum(loss.value(inner_all))) + 0.5 * lam * float(np.vdot(m, m))
-
-    alpha = problem.alpha_from_inner(inner_all)
-    alpha[state.statuses == TripletStatus.LOWER] = 1.0
-    alpha[state.statuses == TripletStatus.UPPER] = 0.0
-
-    support = state.unknown[alpha[state.unknown] > 0.0]
-    s = state.sum_h_lower
-    if support.size:
-        s = s + problem.accumulate(alpha[support], support)
-    s_plus, _ = cone_split(s)
-    dual = (-0.5 * loss.gamma * float(alpha @ alpha) + float(alpha.sum())
-            - 0.5 * float(np.vdot(s_plus, s_plus)) / lam)
-    gap = primal - dual
-    return inner_all, alpha, s_plus, primal, dual, gap
-
-
-def _build_spheres(problem, lam, config, m, inner_all, alpha, s_plus, gap):
-    """Sphere(s) for dynamic screening from the current iterate."""
+def _build_spheres(problem, lam, config, m, cert, pins):
+    """Sphere(s) for dynamic screening from the checkpoint at ``m``."""
     choice = config.bound
     if choice == "none":
         return []
+    if choice == "dual-gap":
+        return [sb.dual_gap_bound(problem, cert.alpha, lam, pins)]
     spheres = []
     if choice in ("gradient", "projected-gradient",
                   "relaxed-path+projected-gradient"):
-        grad = problem.accumulate(problem.loss.grad(inner_all)) + lam * m
-        gb = sb.gradient_bound(m, grad, lam)
+        # Gradient of the reduced objective: lam M - S, S = S_L + sum alpha H.
+        gb = sb.gradient_bound(m, lam * m - cert.s, lam)
         if choice == "gradient":
             return [gb]
         pgb = sb.projected_gradient_bound(gb)
         if choice == "projected-gradient":
             return [pgb]
         spheres.append(pgb)
-    radius = math.sqrt(2.0 * max(gap, 0.0) / lam)
-    if choice in ("gap", "relaxed-path", "relaxed-path+projected-gradient"):
-        # A relaxed-path sphere anchored at the current lambda degenerates to
-        # the gap ball around the iterate.
-        ball = sb.Sphere(center=m, radius=radius, lam=lam)
-        spheres.insert(0, ball)
-        return spheres
-    if choice == "dual-gap":
-        center = s_plus / lam
-        p_center = problem.primal_value(center, lam)
-        d_val = (-0.5 * problem.loss.gamma * float(alpha @ alpha) + float(alpha.sum())
-                 - 0.5 * float(np.vdot(s_plus, s_plus)) / lam)
-        g = max(p_center - d_val, 0.0)
-        return [sb.Sphere(center=center, radius=math.sqrt(g / lam), lam=lam)]
+    # A relaxed-path sphere anchored at the current lambda degenerates to
+    # the gap ball around the iterate.
+    radius = math.sqrt(2.0 * cert.value / lam)
+    spheres.insert(0, sb.Sphere(center=m, radius=radius, lam=lam))
     return spheres
 
 
@@ -192,10 +162,12 @@ def _solve_loop(problem: MetricProblem, lam: float, config: SolveConfig,
 
     m = problem.project(np.asarray(m0, dtype=float)) if m0 is not None \
         else problem.zero_metric()
-    state = _ScreenState(problem, statuses)
+    pins = Pins(problem, statuses)
     # Active mode fills this with the positive-loss triplets at the first
     # checkpoint scan; plain mode always works on every unknown triplet.
     active = np.empty(0, dtype=np.int64)
+    # <H_t, M> at the latest checkpoint, filled on the rows unknown there.
+    x_at_m = np.empty(problem.n_triplets)
 
     step = 1.0 / lam
     prev_m = None
@@ -205,18 +177,18 @@ def _solve_loop(problem: MetricProblem, lam: float, config: SolveConfig,
     best_primal = math.inf
     best_m = m
     bad_checkpoints = 0
-    gap = math.inf
-    primal = dual = math.nan
-    alpha = np.zeros(problem.n_triplets)
-    converged = False
+    best_gap = math.inf
+    stale_checkpoints = 0
+    converged = stalled = False
     force_checkpoint = False
     it = 0
 
     while True:
-        if it % config.screen_every == 0 or force_checkpoint:
+        if (it % config.screen_every == 0 or force_checkpoint
+                or it >= config.max_iter):
             force_checkpoint = False
-            inner_all, alpha, s_plus, primal, dual, gap = _full_state(
-                problem, m, lam, state)
+            cert = sb.gap(problem, m, lam, pins)
+            primal = cert.loss_sum + 0.5 * lam * float(np.vdot(m, m))
             if primal <= best_primal:
                 best_primal = primal
                 best_m = m
@@ -240,25 +212,33 @@ def _solve_loop(problem: MetricProblem, lam: float, config: SolveConfig,
             else:
                 bad_checkpoints = 0
             last_primal = primal
+            if cert.value < best_gap:
+                best_gap = cert.value
+                stale_checkpoints = 0
+            else:
+                stale_checkpoints += 1
+            x_at_m[pins.unknown] = cert.x
 
-            if config.bound != "none" and state.unknown.size:
+            if config.bound != "none" and pins.unknown.size:
                 ts = time.perf_counter()
-                spheres = _build_spheres(problem, lam, config, m, inner_all,
-                                         alpha, s_plus, gap)
+                spheres = _build_spheres(problem, lam, config, m, cert, pins)
                 halfspace = None
                 if config.rule == "linear":
-                    grad_full = problem.accumulate(loss.grad(inner_all)) + lam * m
-                    halfspace = halfspace_from_iterate(m - step * grad_full)
-                before_lower = state.statuses == TripletStatus.LOWER
-                cache = inner_all if spheres and spheres[0].center is m else None
-                counts = screen_all(problem, spheres, state.statuses,
+                    halfspace = halfspace_from_iterate(
+                        m - step * (lam * m - cert.s))
+                before_lower = pins.statuses == TripletStatus.LOWER
+                cache = x_at_m if spheres and spheres[0].center is m else None
+                counts = screen_all(problem, spheres, pins.statuses,
                                     rule=config.rule, halfspace=halfspace,
                                     budget=config.psd_rule_budget,
                                     inner_cache=cache)
                 if counts.new_lower or counts.new_upper:
-                    state.absorb(before_lower)
-                    prev_m = prev_grad = None  # reduced objective changed
-                events.append(ScreenEvent(iteration=it, gap=gap,
+                    pins.absorb(before_lower)
+                    # The reduced objective changed: its gradients and
+                    # values are not comparable with the earlier ones.
+                    prev_m = prev_grad = None
+                    best_primal = last_primal = math.inf
+                events.append(ScreenEvent(iteration=it, gap=cert.value,
                                           new_lower=counts.new_lower,
                                           new_upper=counts.new_upper,
                                           remaining=counts.remaining))
@@ -268,27 +248,30 @@ def _solve_loop(problem: MetricProblem, lam: float, config: SolveConfig,
                 # (or near-threshold) loss.  Dropping satisfied triplets
                 # mid-solve invites limit cycles, so the set only shrinks by
                 # screening or by re-initialization at the next warm start.
-                live = state.unknown
-                wanted = live[inner_all[live] < 1.0 + config.active_margin]
+                live = pins.unknown
+                wanted = live[x_at_m[live] < 1.0 + config.active_margin]
                 new_active = np.union1d(
                     np.intersect1d(active, live, assume_unique=True), wanted)
                 if not np.array_equal(new_active, active):
                     active = new_active
                     prev_m = prev_grad = None  # working set changed
-            if gap <= config.gap_tol:
+            if cert.value <= config.gap_tol:
                 converged = True
+                break
+            if stale_checkpoints >= STALL_CHECKPOINTS:
+                stalled = True
                 break
         if it >= config.max_iter:
             break
 
-        work = active if active_mode else state.unknown
+        work = active if active_mode else pins.unknown
 
         def reduced_grad(point):
             if work.size:
                 g_loss = loss.grad(problem.inner(point, work))
                 return (problem.accumulate(g_loss, work) + lam * point
-                        - state.sum_h_lower)
-            return lam * point - state.sum_h_lower
+                        - pins.sum_h_lower)
+            return lam * point - pins.sum_h_lower
 
         grad = reduced_grad(m)
         if prev_m is not None:
@@ -317,11 +300,19 @@ def _solve_loop(problem: MetricProblem, lam: float, config: SolveConfig,
         m = m_new
         it += 1
 
-    return SolveResult(metric=m, alpha=alpha, gap=gap, iterations=it,
-                       statuses=state.statuses, screening_log=events,
+    # The loop always leaves at a checkpoint of the returned metric.
+    alpha = (pins.statuses == TripletStatus.LOWER).astype(float)
+    alpha[slice(None) if cert.rows is None else cert.rows] = cert.alpha
+    gamma = loss.gamma
+    n_boundary = int(np.count_nonzero((cert.x >= 1.0 - gamma)
+                                      & (cert.x <= 1.0)))
+    return SolveResult(metric=m, alpha=alpha, gap=cert.value, iterations=it,
+                       statuses=pins.statuses, screening_log=events,
                        wall_time=time.perf_counter() - t0,
                        screen_time=screen_time, converged=converged,
-                       primal=primal, dual=dual)
+                       primal=primal, dual=primal - cert.value,
+                       loss_sum=cert.loss_sum, n_boundary=n_boundary,
+                       stalled=stalled)
 
 
 def pgd_solve(problem: MetricProblem, lam: float, config: SolveConfig,

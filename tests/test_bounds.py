@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tripscreen import (Sphere, SolveConfig, dual_gap_bound, gap_bound,
-                        gradient_bound, path_bound, pgd_solve,
-                        projected_gradient_bound, psd_split,
+from tripscreen import (Sphere, SolveConfig, TripletStatus, dual_gap_bound,
+                        gap_bound, gradient_bound, loss_term, path_bound,
+                        pgd_solve, projected_gradient_bound, psd_split,
                         relaxed_path_bound)
+from tripscreen.bounds import gap
 from conftest import kkt_reference, random_instance, reference_at, solve_oracle
 
 
@@ -85,6 +88,60 @@ class TestProjectedGradientBound:
         s = projected_gradient_bound(base)
         assert s.radius == 0.0
         assert s.radius_clamped
+
+
+class TestGapKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.floats(min_value=1e-3, max_value=1e3),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_fenchel_young_form_equals_p_minus_d(self, small_problem, seed,
+                                                 lam, scale):
+        prob = small_problem
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(prob.dim, prob.dim))
+        m = scale * (b @ b.T) / prob.dim
+        alpha = rng.uniform(size=prob.n_triplets)
+        pinned = rng.uniform(size=alpha.size) < 0.3
+        alpha[pinned] = rng.integers(0, 2, size=int(pinned.sum()))
+        value = gap(prob, m, lam, alpha=alpha).value
+        p = prob.primal_value(m, lam)
+        d = prob.dual_value(alpha, lam)
+        assert value >= 0.0
+        # P - D, the reference, carries rounding of order eps * max(|P|, |D|)
+        assert abs(value - (p - d)) <= 1e-9 * max(1.0, abs(p), abs(d))
+
+    def test_weights_read_from_loss(self, small_problem):
+        prob = small_problem
+        lam = mid_lambda(prob)
+        ref = reference_at(prob, lam, 1e-2)
+        alpha = prob.dual_from_primal(ref.metric).alpha
+        g = gap(prob, ref.metric, lam)
+        assert np.array_equal(g.alpha, alpha)
+        assert np.isclose(g.value, prob.duality_gap(ref.metric, alpha, lam),
+                          rtol=1e-9)
+        assert np.isclose(g.loss_sum, loss_term(prob, ref.metric), rtol=1e-12)
+
+    def test_reduced_gap_with_pins_that_hold(self, small_problem):
+        prob = small_problem
+        lam = mid_lambda(prob)
+        m = reference_at(prob, lam, 1e-2).metric
+        x = prob.inner(m)
+        full = gap(prob, m, lam)
+        # no statuses and all-unknown statuses are the same objective
+        none = gap(prob, m, lam, np.zeros(prob.n_triplets, dtype=np.int8))
+        assert none.value == full.value
+        statuses = np.zeros(prob.n_triplets, dtype=np.int8)
+        lower = np.flatnonzero(x < 1.0 - prob.loss.gamma)
+        upper = np.flatnonzero(x > 1.0)
+        statuses[lower[::2]] = TripletStatus.LOWER
+        statuses[upper[::2]] = TripletStatus.UPPER
+        reduced = gap(prob, m, lam, statuses)
+        unknown = np.flatnonzero(statuses == TripletStatus.UNKNOWN)
+        assert np.array_equal(reduced.rows, unknown)
+        assert reduced.x.shape == unknown.shape
+        assert reduced.value <= full.value + 1e-12 * max(1.0, full.value)
+        assert np.isclose(reduced.loss_sum, full.loss_sum, rtol=1e-12)
 
 
 class TestGapBound:

@@ -119,6 +119,40 @@ class TestBuildTriplets:
         ts = build_triplets(Dataset(feats, labels), k=20)
         assert abs(len(ts) - 832_000) <= 0.02 * 832_000
 
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_triplet_norm_near_duplicate_points(self, diagonal):
+        # x_j and x_l (different classes) nearly coincide, so u ~ v and
+        # ||u||^4 + ||v||^4 - 2 <u,v>^2 would lose every digit of ||H||^2
+        from fractions import Fraction
+
+        rng = np.random.default_rng(5)
+        d = 6
+        anchors = rng.normal(size=(4, d))
+        near = rng.normal(size=(4, d)) * 3.0
+        offset = rng.normal(size=(4, d))
+        offset *= 1e-8 * np.linalg.norm(near - anchors, axis=1,
+                                        keepdims=True) / np.linalg.norm(
+                                            offset, axis=1, keepdims=True)
+        x = np.vstack([anchors, near, near + offset])
+        y = np.array([0] * 4 + [0] * 4 + [1] * 4)
+        prob = MetricProblem(build_triplets(Dataset(x, y)),
+                             SmoothedHingeLoss(0.05), diagonal=diagonal)
+        ts = prob.triplets
+        rows = np.flatnonzero(np.linalg.norm(ts.u - ts.v, axis=1)
+                              <= 1e-7 * np.linalg.norm(ts.u, axis=1))
+        assert rows.size >= 4
+        for t in rows:
+            u = [Fraction(float(a)) for a in ts.u[t]]
+            v = [Fraction(float(b)) for b in ts.v[t]]
+            if diagonal:
+                exact = sum((a * a - b * b) ** 2 for a, b in zip(u, v))
+            else:
+                exact = sum((u[p] * u[q] - v[p] * v[q]) ** 2
+                            for p in range(d) for q in range(d))
+            assert exact > 0
+            ref = float(exact) ** 0.5
+            assert abs(prob.h_norms[t] - ref) <= 1e-9 * ref
+
     def test_triplet_norm_identity(self):
         prob = random_instance(seed=12)
         ts = prob.triplets

@@ -3,8 +3,9 @@ import pytest
 
 from tripscreen import (Dataset, MetricProblem, SmoothedHingeLoss,
                         SolveConfig, TripletStatus, active_set_solve, bb_step,
-                        build_triplets, gaussian_blobs, lambda_max, pgd_solve,
-                        psd_split, solve)
+                        build_triplets, gaussian_blobs, lambda_max, loss_term,
+                        pgd_solve, psd_split, solve)
+from tripscreen.bounds import gap
 from conftest import random_instance, solve_oracle
 
 
@@ -92,6 +93,16 @@ class TestPgdSolve:
         assert res.converged
         assert np.linalg.norm(base.metric - res.metric) <= 1e-6
 
+    def test_reports_loss_and_boundary_of_returned_metric(self, small_problem):
+        prob = small_problem
+        lam = 0.03 * lambda_max(prob)
+        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000,
+                                               bound="gap", rule="sphere"))
+        assert res.n_lower + res.n_upper > 0
+        assert np.isclose(res.loss_sum, loss_term(prob, res.metric),
+                          rtol=1e-9)
+        assert res.n_boundary == prob.categorize(res.metric).boundary.size
+
     def test_screened_statuses_are_safe(self, small_problem):
         prob = small_problem
         lam = 0.03 * lambda_max(prob)
@@ -121,9 +132,37 @@ class TestPgdSolve:
         prob = small_problem
         lam = 0.03 * lambda_max(prob)
         res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-30, max_iter=7))
-        assert not res.converged
+        assert not res.converged and not res.stalled
         assert res.iterations == 7
         assert res.metric.shape == (prob.dim, prob.dim)
+        # stopped between checkpoints: what it reports is of the last metric
+        assert res.gap == gap(prob, res.metric, lam).value
+        assert np.isclose(res.loss_sum, loss_term(prob, res.metric),
+                          rtol=1e-12)
+        assert res.n_boundary == prob.categorize(res.metric).boundary.size
+
+    def test_stall_below_rounding_floor_flagged(self, small_problem):
+        prob = small_problem
+        lam = 0.03 * lambda_max(prob)
+        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-40, max_iter=100_000,
+                                               screen_every=1))
+        assert res.stalled and not res.converged
+        assert res.iterations <= 10_000
+        assert 0.0 <= res.gap <= 1e-20
+
+    @pytest.mark.parametrize("instance", [6, 9])
+    def test_sweep_instances_reach_tight_gap(self, instance):
+        # The safety sweep's draws (tests/test_acceptance.py, seed 2024): at
+        # 0.3 lambda_max these two sat on the rounding floor of P - D, near
+        # 2e-13, and ran to the iteration cap.
+        rng = np.random.default_rng(2024)
+        seeds = [int(rng.integers(1 << 30)) for _ in range(instance + 1)]
+        prob = random_instance(seed=seeds[instance], n_lo=20, n_hi=50,
+                               d_lo=2, d_hi=5, diagonal=instance % 4 == 3)
+        lam = 0.3 * lambda_max(prob)
+        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-13, max_iter=10_000))
+        assert res.converged
+        assert res.iterations <= 1_000
 
     def test_warm_start_projected_to_cone(self, small_problem):
         prob = small_problem
