@@ -2,18 +2,15 @@
 accelerated with provably safe triplet screening along a regularization path.
 """
 
-from .linalg import (ConvergenceError, EigDecomp, PsdSplit, check_symmetric,
-                     cone_project, cone_split, eig_sym, frob_inner,
-                     min_eigpair, psd_split)
-from .problem import (Dataset, DualState, MetricProblem, Partition, Pins,
-                      SmoothedHingeLoss, Triplet, TripletSet, build_triplets)
+from .linalg import (EigDecomp, PsdSplit, check_symmetric, cone_project,
+                     cone_split, eig_sym, frob_inner, psd_split)
+from .problem import (Dataset, MetricProblem, Partition, Pins,
+                      SmoothedHingeLoss, TripletSet, build_triplets)
 from .bounds import (DualityGap, GeneralForm, Sphere, dual_gap_bound, gap_bound,
                      gradient_bound, path_bound, projected_gradient_bound,
                      relaxed_path_bound)
-from .rules import (HalfSpace, LambdaRange, ScreenCounts, TripletStatus,
-                    halfspace_from_iterate, lambda_range, lambda_ranges_all,
-                    linear_rule, nonneg_rule, psd_rule, screen_all,
-                    sphere_rule)
+from .rules import (HalfSpace, ScreenCounts, TripletStatus,
+                    halfspace_from_iterate, lambda_ranges_all, screen_all)
 from .solver import (ScreenEvent, SolveConfig, SolveResult, active_set_solve,
                      bb_step, pgd_solve, solve)
 from .path import (PathConfig, PathRecord, PathResult, lambda_max, loss_term,

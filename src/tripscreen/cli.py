@@ -67,7 +67,7 @@ class RunConfig:
         solve_cfg = SolveConfig(
             gap_tol=self.gap_tol, max_iter=self.max_iter,
             screen_every=self.screen_every, bound=self.bound, rule=self.rule,
-            active_set=self.active_set, diagonal=self.diagonal)
+            active_set=self.active_set)
         return PathConfig(decay=self.decay, stop_threshold=self.stop_threshold,
                           solve=solve_cfg,
                           use_range_screening=self.range_screening)

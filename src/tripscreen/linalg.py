@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra: eigendecomposition, cone splits, minimum eigenpair."""
+"""Dense symmetric linear algebra: eigendecomposition and cone splits."""
 
 from __future__ import annotations
 
@@ -8,16 +8,6 @@ import numpy as np
 
 # Asymmetry above this (relative) is treated as a caller bug, not rounding noise.
 _ASYM_REJECT = 1e-6
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its budget; carries the best iterate found."""
-
-    def __init__(self, message: str, value: float | None = None,
-                 vector: np.ndarray | None = None):
-        super().__init__(message)
-        self.value = value
-        self.vector = vector
 
 
 class EigDecomp(NamedTuple):
@@ -89,62 +79,3 @@ def cone_split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def cone_project(a: np.ndarray) -> np.ndarray:
     return cone_split(a)[0]
 
-
-def min_eigpair(a, tol: float = 1e-7, max_iter: int = 500,
-                seed: int = 0x5EED) -> Tuple[float, np.ndarray]:
-    """Smallest eigenvalue and unit eigenvector of a symmetric matrix.
-
-    Rayleigh-Ritz expansion of a Krylov-style subspace grown from the residual
-    direction of the current best Ritz pair, with full reorthogonalization.
-    The start vector is drawn from a fixed seed so results are reproducible.
-
-    Raises ConvergenceError (carrying the best iterate) if the residual does
-    not reach ``tol * ||a||_F`` within ``max_iter`` matrix-vector products.
-    """
-    a = check_symmetric(a)
-    d = a.shape[0]
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        e = np.zeros(d)
-        e[0] = 1.0
-        return 0.0, e
-
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(d)
-    q /= np.linalg.norm(q)
-
-    basis = np.empty((d, 0))
-    theta, y = 0.0, q
-    for _ in range(max_iter):
-        # Orthogonalize the new direction against the accumulated basis (twice,
-        # to keep orthogonality at rounding level).
-        w = q.copy()
-        for _ in range(2):
-            if basis.shape[1]:
-                w -= basis @ (basis.T @ w)
-        nw = np.linalg.norm(w)
-        if nw <= 1e-14:
-            if basis.shape[1] == d:
-                break
-            q = rng.standard_normal(d)
-            continue
-        basis = np.column_stack([basis, w / nw])
-
-        small = basis.T @ (a @ basis)
-        small = (small + small.T) / 2.0
-        sw, sv = np.linalg.eigh(small)
-        theta = float(sw[0])
-        y = basis @ sv[:, 0]
-        y /= np.linalg.norm(y)
-
-        resid = a @ y - theta * y
-        if np.linalg.norm(resid) <= tol * scale:
-            return theta, y
-        q = resid
-
-    resid = float(np.linalg.norm(a @ y - theta * y))
-    if resid <= tol * scale:
-        return theta, y
-    raise ConvergenceError(
-        f"minimum eigenpair did not converge: residual {resid:.3e} > {tol * scale:.3e}",
-        value=theta, vector=y)

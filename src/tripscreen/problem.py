@@ -10,12 +10,12 @@ inner products against u and v.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import cone_project, cone_split, frob_inner
+from .linalg import cone_project, cone_split
 
 
 @dataclass(frozen=True)
@@ -102,28 +102,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """Single triplet view: indices plus the rank-2 factors of H."""
-
-    i: int
-    j: int
-    l: int
-    u: np.ndarray      # x_i - x_l
-    v: np.ndarray      # x_i - x_j
-    hnorm: float       # Frobenius norm of u u^T - v v^T
-
-    def inner(self, m: np.ndarray) -> float:
-        """<H, M> for a dense metric, or h . m in diagonal mode."""
-        if m.ndim == 1:
-            return float(self.diag() @ m)
-        return float(self.u @ m @ self.u - self.v @ m @ self.v)
-
-    def diag(self) -> np.ndarray:
-        """Elementwise diagonal of H: (u - v)(u + v)."""
-        return (self.u - self.v) * (self.u + self.v)
-
-
 class TripletSet:
     """Vectorized triplet storage: index arrays plus stacked u/v factors."""
 
@@ -144,11 +122,6 @@ class TripletSet:
     @property
     def dim(self) -> int:
         return self.u.shape[1]
-
-    def __getitem__(self, t: int) -> Triplet:
-        return Triplet(i=int(self.anchor[t]), j=int(self.same[t]),
-                       l=int(self.other[t]), u=self.u[t], v=self.v[t],
-                       hnorm=float(self.hnorm[t]))
 
 
 def _rank2_norm(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -219,11 +192,6 @@ class TripletStatus(enum.IntEnum):
     UNKNOWN = 0
     LOWER = 1   # certified in the linear part of the loss (dual weight 1)
     UPPER = 2   # certified in the zero part of the loss (dual weight 0)
-
-
-class DualState(NamedTuple):
-    alpha: np.ndarray          # one weight per triplet, in [0, 1]
-    gamma_matrix: np.ndarray   # PSD multiplier of the cone constraint
 
 
 class Partition(NamedTuple):
@@ -329,13 +297,6 @@ class MetricProblem:
 
     def alpha_from_inner(self, inner: np.ndarray) -> np.ndarray:
         return -self.loss.grad(inner)
-
-    def dual_from_primal(self, m: np.ndarray,
-                         inner: Optional[np.ndarray] = None) -> DualState:
-        x = self.inner(m) if inner is None else inner
-        alpha = self.alpha_from_inner(x)
-        _, minus = cone_split(self.accumulate(alpha))
-        return DualState(alpha=alpha, gamma_matrix=-minus)
 
     def m_of_alpha(self, alpha: np.ndarray, lam: float,
                    sum_ah: Optional[np.ndarray] = None) -> np.ndarray:

@@ -14,21 +14,25 @@ form), and the PSD rule (sphere + full semidefinite constraint, certified by
 dual ascent on a semidefinite least-squares subproblem).  Diagonal-mode
 metrics use the exact nonnegative-orthant rule instead.
 
+Each rule family has one batch kernel, evaluated over many triplets at once
+and reached through ``screen_all``; a single triplet is a one-row call.
+``lambda_ranges_all`` likewise gives the regularization intervals over which
+the relaxed-path sphere rule is pre-certified to fire.
+
 Every degenerate or undecided evaluation resolves to UNKNOWN, never to an
 unsafe verdict.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import Sphere
-from .linalg import cone_split, min_eigpair
-from .problem import MetricProblem, SmoothedHingeLoss, Triplet, TripletStatus
+from .linalg import cone_split
+from .problem import MetricProblem, TripletStatus
 
 # Relative slack demanded beyond a certification threshold before a verdict
 # is issued by the iterative PSD rule (its dual values carry eigensolver
@@ -63,243 +67,6 @@ def halfspace_from_iterate(a: np.ndarray) -> HalfSpace:
     if float(np.linalg.norm(minus)) <= 1e-12 * scale:
         return HalfSpace(normal=None)
     return HalfSpace(normal=-minus)
-
-
-@dataclass(frozen=True)
-class LambdaRange:
-    """Open interval of regularization values over which a rule is
-    pre-certified to fire for one triplet."""
-
-    lo: float
-    hi: float
-
-    @property
-    def empty(self) -> bool:
-        return not (self.lo < self.hi)
-
-    def covers(self, lam: float) -> bool:
-        return self.lo < lam < self.hi
-
-
-EMPTY_RANGE = LambdaRange(lo=math.inf, hi=-math.inf)
-
-
-# ---------------------------------------------------------------------------
-# sphere rule
-# ---------------------------------------------------------------------------
-
-def _triplet_geometry(sphere: Sphere, t: Triplet) -> Tuple[float, float]:
-    """(<H, Q>, triplet norm) in the layout matching the sphere."""
-    if sphere.diagonal:
-        h = t.diag()
-        return float(h @ sphere.center), float(np.linalg.norm(h))
-    return t.inner(sphere.center), t.hnorm
-
-
-def sphere_rule(sphere: Sphere, t: Triplet,
-                loss: SmoothedHingeLoss) -> TripletStatus:
-    """Closed-form rule using the ball alone."""
-    qh, hn = _triplet_geometry(sphere, t)
-    r = sphere.radius
-    if qh - r * hn > 1.0:
-        return TripletStatus.UPPER
-    if qh + r * hn < 1.0 - loss.gamma:
-        return TripletStatus.LOWER
-    return TripletStatus.UNKNOWN
-
-
-# ---------------------------------------------------------------------------
-# linear rule (ball intersected with one supporting half-space of the cone)
-# ---------------------------------------------------------------------------
-
-def _p4_min(qh: float, ph: float, hn: float, pq: float, pp: float,
-            r: float) -> Optional[float]:
-    """Minimum of <X, H> over the ball intersected with {<P, X> >= 0}.
-
-    Closed-form by KKT cases; returns None when the configuration is
-    degenerate in a way that cannot be resolved safely (empty-looking
-    intersection), which the caller maps to UNKNOWN.
-    """
-    if hn == 0.0:
-        return 0.0
-    disc = pp * hn ** 2 - ph ** 2
-    sqpp = math.sqrt(pp)
-    if disc <= 1e-14 * pp * hn ** 2:
-        # H is (numerically) proportional to P: the objective is a * <P, X>.
-        a = ph / pp
-        if pq + r * sqpp < 0.0:
-            return None
-        if a >= 0.0:
-            return a * max(pq - r * sqpp, 0.0)
-        return a * (pq + r * sqpp)
-    if pq - r * ph / hn >= 0.0:
-        # The unconstrained ball minimizer already satisfies the half-space.
-        return qh - r * hn
-    den = r ** 2 * pp - pq ** 2
-    if den <= 0.0:
-        # Ball does not cross the hyperplane.  On the feasible side the
-        # half-space is inactive; on the other side nothing can be certified.
-        return qh - r * hn if pq >= 0.0 else None
-    alpha = math.sqrt(disc / den)
-    beta = (ph - alpha * pq) / pp
-    return qh + (beta * ph - hn ** 2) / alpha
-
-
-def linear_rule(sphere: Sphere, halfspace: HalfSpace, t: Triplet,
-                loss: SmoothedHingeLoss) -> TripletStatus:
-    """Sphere rule sharpened by one supporting half-space of the PSD cone."""
-    if halfspace.vacuous or sphere.diagonal:
-        return sphere_rule(sphere, t, loss)
-    p = halfspace.normal
-    qh, hn = _triplet_geometry(sphere, t)
-    if hn == 0.0:
-        return sphere_rule(sphere, t, loss)
-    ph = t.inner(p)
-    pq = float(np.vdot(p, sphere.center))
-    pp = float(np.vdot(p, p))
-    if pp == 0.0:
-        return sphere_rule(sphere, t, loss)
-    r = sphere.radius
-
-    upper = False
-    lower = False
-    mn = _p4_min(qh, ph, hn, pq, pp, r)
-    if mn is not None and mn > 1.0:
-        upper = True
-    neg = _p4_min(-qh, -ph, hn, pq, pp, r)
-    if neg is not None and -neg < 1.0 - loss.gamma:
-        lower = True
-    if upper and lower:
-        return TripletStatus.UNKNOWN
-    if upper:
-        return TripletStatus.UPPER
-    if lower:
-        return TripletStatus.LOWER
-    return TripletStatus.UNKNOWN
-
-
-# ---------------------------------------------------------------------------
-# PSD rule (ball intersected with the semidefinite cone, via SDLS dual ascent)
-# ---------------------------------------------------------------------------
-
-def _sdls_certifies(q: np.ndarray, q_sq: float, q_is_psd: bool, r: float,
-                    t: Triplet, c: float, phi0: float, budget: int) -> bool:
-    """Ascend the 1-d dual of  min ||X - Q||^2  s.t. <X, H> = c, X >= 0.
-
-    Returns True as soon as the dual value exceeds r^2 (weak duality then
-    certifies that the hyperplane misses the ball/cone intersection, so the
-    whole intersection lies strictly on the reference side of c).
-
-    ``phi0`` is c - <[Q]_+, H> and fixes the ascent direction.  The dual is
-    concave in the scalar y; its derivative is 2 * (c - <[Q + yH]_+, H>), so
-    a safeguarded secant iteration on that derivative, with doubling
-    expansion until a sign change brackets the root, is used.  Every
-    evaluation needs one eigen-solve; when Q is PSD the iterate Q + yH has at
-    most one negative eigenvalue, so a minimum-eigenpair solve updates the
-    projection instead of a full decomposition.
-    """
-    u, v = t.u, t.v
-    hn2 = t.hnorm ** 2
-    if hn2 == 0.0:
-        return False  # callers resolve H == 0 through the sphere rule
-    qh = t.inner(q)
-    h_dense = np.outer(u, u) - np.outer(v, v)
-    guard = _SDLS_GUARD * max(1.0, r * r)
-
-    def evaluate(y: float) -> Tuple[float, float]:
-        a = q + y * h_dense
-        a_sq = q_sq + 2.0 * y * qh + y * y * hn2
-        ah = qh + y * hn2
-        if q_is_psd:
-            lmin, vec = min_eigpair(a)
-            if lmin < 0.0:
-                a_sq_plus = a_sq - lmin * lmin
-                ah_plus = ah - lmin * ((u @ vec) ** 2 - (v @ vec) ** 2)
-            else:
-                a_sq_plus, ah_plus = a_sq, ah
-        else:
-            w, vecs = np.linalg.eigh(a)
-            neg = w < 0.0
-            a_sq_plus = a_sq - float(np.sum(w[neg] ** 2))
-            quad = (u @ vecs[:, neg]) ** 2 - (v @ vecs[:, neg]) ** 2
-            ah_plus = ah - float(w[neg] @ quad)
-        dual = -a_sq_plus + 2.0 * c * y + q_sq
-        return dual, c - ah_plus
-
-    direction = 1.0 if phi0 > 0 else -1.0
-    y_lo = y_hi = None      # bracket endpoints with phi > 0 / phi < 0
-    phi_lo = phi_hi = None
-    y, phi = 0.0, phi0
-    step = abs(phi0) / hn2
-    evals = 0
-    while evals < budget:
-        if phi > 0:
-            y_lo, phi_lo = y, phi
-        elif phi < 0:
-            y_hi, phi_hi = y, phi
-        else:
-            return False  # at the dual optimum without certification
-
-        if y_lo is not None and y_hi is not None:
-            # Secant step on the derivative, clipped into the bracket.
-            denom = phi_lo - phi_hi
-            y_next = y_lo + phi_lo * (y_hi - y_lo) / denom if denom != 0 else None
-            lo, hi = min(y_lo, y_hi), max(y_lo, y_hi)
-            if y_next is None or not (lo < y_next < hi):
-                y_next = 0.5 * (lo + hi)
-            if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-                return False
-        else:
-            y_next = y + direction * step
-            step *= 2.0
-
-        dual, phi = evaluate(y_next)
-        evals += 1
-        y = y_next
-        if dual > r * r + guard:
-            return True
-        if abs(phi) <= 1e-12 * max(1.0, abs(c)) and dual <= r * r:
-            return False
-    return False
-
-
-def psd_rule(sphere: Sphere, t: Triplet, loss: SmoothedHingeLoss,
-             budget: int = 30) -> TripletStatus:
-    """Rule honoring the full semidefinite constraint.
-
-    A feasible point of the ball/cone intersection is needed to orient the
-    certificate; the projection of the center serves (for any valid sphere
-    it stays inside the ball).  If that point does not clear the threshold,
-    nothing can be certified and the answer is immediately UNKNOWN.
-    """
-    if sphere.diagonal:
-        return nonneg_rule(sphere, t, loss)
-    verdict = sphere_rule(sphere, t, loss)
-    if verdict != TripletStatus.UNKNOWN:
-        return verdict  # the PSD-constrained extremes only tighten these
-    if t.hnorm == 0.0:
-        return TripletStatus.UNKNOWN  # sphere rule above already decided H=0
-
-    q_plus, q_minus = cone_split(sphere.center)
-    r = sphere.radius
-    if float(np.linalg.norm(q_minus)) > r + 1e-12 * max(1.0, r):
-        return TripletStatus.UNKNOWN  # ball misses the cone: nothing safe to say
-    q_is_psd = float(np.linalg.norm(q_minus)) <= 1e-12 * max(
-        1.0, float(np.linalg.norm(sphere.center)))
-    q = q_plus if q_is_psd else sphere.center
-    q_sq = float(np.vdot(q, q))
-    x0h = t.inner(q_plus)
-
-    if x0h > 1.0:
-        if _sdls_certifies(q, q_sq, q_is_psd, r, t, c=1.0,
-                           phi0=1.0 - x0h, budget=budget):
-            return TripletStatus.UPPER
-    elif x0h < 1.0 - loss.gamma:
-        c = 1.0 - loss.gamma
-        if _sdls_certifies(q, q_sq, q_is_psd, r, t, c=c,
-                           phi0=c - x0h, budget=budget):
-            return TripletStatus.LOWER
-    return TripletStatus.UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -346,87 +113,25 @@ def _orthant_min(h: np.ndarray, q: np.ndarray, r: float) -> Optional[float]:
     return None
 
 
-def nonneg_rule(sphere: Sphere, t: Triplet,
-                loss: SmoothedHingeLoss) -> TripletStatus:
-    """Exact rule for diagonal metrics, where the cone is the orthant."""
-    if not sphere.diagonal:
-        raise ValueError("nonneg_rule requires a diagonal-mode sphere")
-    h = t.diag()
-    q = sphere.center
-    r = sphere.radius
-
-    upper = False
-    lower = False
-    mn = _orthant_min(h, q, r)
-    if mn is not None and mn > 1.0:
-        upper = True
-    neg = _orthant_min(-h, q, r)
-    if neg is not None and -neg < 1.0 - loss.gamma:
-        lower = True
-    if upper and lower:
-        return TripletStatus.UNKNOWN
-    if upper:
-        return TripletStatus.UPPER
-    if lower:
-        return TripletStatus.LOWER
-    return TripletStatus.UNKNOWN
-
-
 # ---------------------------------------------------------------------------
 # lambda ranges (pre-certified regularization intervals, relaxed path sphere)
 # ---------------------------------------------------------------------------
 
-def _upper_range(qh, hn, norm0, eps, lam0):
-    den = qh - 2.0 + hn * norm0
-    if den <= 0.0:
-        return EMPTY_RANGE
-    lo = lam0 * (norm0 * hn - qh + 2.0 * eps * hn) / den
-    hi = lam0 * (norm0 * hn + qh) / (hn * norm0 - qh + 2.0 + 2.0 * eps * hn)
-    return LambdaRange(lo=lo, hi=hi) if lo < hi else EMPTY_RANGE
+def lambda_ranges_all(problem: MetricProblem, m0: np.ndarray, eps: float,
+                      lam0: float, idx: Optional[np.ndarray] = None,
+                      inner0: Optional[np.ndarray] = None):
+    """Regularization intervals over which the relaxed-path sphere rule is
+    guaranteed to fire, per triplet, given ||M0_opt - M0||_F <= eps at lam0.
 
-
-def _lower_range(qh, hn, norm0, eps, lam0, gamma):
-    margin = 1.0 - gamma
-    if not qh + eps * hn < margin:
-        return EMPTY_RANGE
-    lo = lam0 * (qh + norm0 * hn + 2.0 * eps * hn) / (norm0 * hn - qh + 2.0 * margin)
-    dr = 2.0 * margin - qh - norm0 * hn - 2.0 * eps * hn
-    hi = math.inf if dr >= 0.0 else lam0 * (norm0 * hn - qh) / (-dr)
-    return LambdaRange(lo=lo, hi=hi) if lo < hi else EMPTY_RANGE
-
-
-def lambda_range(m0: np.ndarray, eps: float, lam0: float, t: Triplet,
-                 loss: SmoothedHingeLoss, side: str) -> LambdaRange:
-    """Regularization interval over which the relaxed-path sphere rule is
-    guaranteed to fire for this triplet, given ||M0_opt - M0||_F <= eps at
-    lam0.
-
-    ``side="upper"`` pre-certifies the zero part.  ``side="lower"`` is the
-    mirrored derivation for the linear part (obtained from the max-side rule
-    by the same algebra; the open end of its interval can be infinite).
+    Returns (lo_up, hi_up, lo_low, hi_low): the zero part (UPPER) is
+    pre-certified for lo_up < lam < hi_up and the linear part (LOWER) for
+    lo_low < lam < hi_low, the mirrored derivation whose open end can be
+    infinite.  An empty interval reads (inf, -inf).
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if lam0 <= 0:
         raise ValueError("lam0 must be positive")
-    m0 = np.asarray(m0, dtype=float)
-    if m0.ndim == 1:
-        h = t.diag()
-        qh, hn = float(h @ m0), float(np.linalg.norm(h))
-    else:
-        qh, hn = t.inner(m0), t.hnorm
-    norm0 = float(np.linalg.norm(m0))
-    if side == "upper":
-        return _upper_range(qh, hn, norm0, eps, lam0)
-    if side == "lower":
-        return _lower_range(qh, hn, norm0, eps, lam0, loss.gamma)
-    raise ValueError(f"unknown side {side!r}")
-
-
-def lambda_ranges_all(problem: MetricProblem, m0: np.ndarray, eps: float,
-                      lam0: float, idx: Optional[np.ndarray] = None,
-                      inner0: Optional[np.ndarray] = None):
-    """Vectorized ranges for both sides: (lo_up, hi_up, lo_low, hi_low)."""
     qh = problem.inner(m0, idx) if inner0 is None else inner0
     hn = problem.h_norms if idx is None else problem.h_norms[idx]
     norm0 = float(np.linalg.norm(m0))
@@ -473,7 +178,48 @@ def _sphere_masks(problem, sphere, idx, qh=None):
     return low, up, qh, hn
 
 
+def _halfspace_min(qh, ph, hn, pq, pp, r):
+    """Minimum of <X, H> over the ball ||X - Q|| <= r intersected with the
+    half-space {<P, X> >= 0}, row by row, in closed form by KKT cases.
+
+    ``qh``, ``ph`` and ``hn`` hold <Q, H>, <P, H> and ||H|| per row, ``pq``
+    is <P, Q> and ``pp`` is ||P||^2 > 0.  NaN marks 'cannot certify': a
+    configuration that looks like an empty intersection.  Rows with
+    ``hn == 0`` are left to the caller.
+    """
+    hn2 = hn ** 2
+    ok = hn > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.maximum(pp * hn2 - ph ** 2, 0.0)
+        prop = disc <= 1e-14 * pp * hn2
+        den = r * r * pp - pq * pq
+        sq_pp = math.sqrt(pp)
+        val = np.full(qh.shape, np.nan)
+        # H (numerically) proportional to P: the objective is a * <P, X>.
+        a = ph / pp
+        if pq + r * sq_pp >= 0.0:
+            prop_val = np.where(a >= 0.0, a * max(pq - r * sq_pp, 0.0),
+                                a * (pq + r * sq_pp))
+            val = np.where(prop, prop_val, val)
+        # The unconstrained ball minimizer already satisfies the half-space.
+        feas = ~prop & ok & (pq - r * ph / np.where(ok, hn, 1.0) >= 0.0)
+        val = np.where(feas, qh - r * hn, val)
+        # Active half-space.  When the ball does not cross the hyperplane,
+        # the half-space is inactive on its feasible side and nothing can be
+        # certified on the other.
+        rest = ~prop & ok & ~feas
+        if den > 0.0:
+            alpha = np.sqrt(disc / den)
+            beta = (ph - alpha * pq) / pp
+            act = qh + (beta * ph - hn2) / np.where(alpha > 0, alpha, 1.0)
+            val = np.where(rest & (alpha > 0), act, val)
+        elif pq >= 0.0:
+            val = np.where(rest, qh - r * hn, val)
+    return val
+
+
 def _linear_masks(problem, sphere, halfspace, idx, qh=None):
+    """Sphere verdicts sharpened by one supporting half-space of the cone."""
     low, up, qh, hn = _sphere_masks(problem, sphere, idx, qh)
     if halfspace is None or halfspace.vacuous or sphere.diagonal:
         return low, up
@@ -484,46 +230,13 @@ def _linear_masks(problem, sphere, halfspace, idx, qh=None):
         return low, up
     ph = problem.inner(p, idx)
     r = sphere.radius
-    gamma = problem.loss.gamma
-
-    hn2 = hn ** 2
-    ok = hn > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = np.maximum(pp * hn2 - ph ** 2, 0.0)
-        prop = disc <= 1e-14 * pp * hn2
-        den = r * r * pp - pq * pq
-        sq_pp = math.sqrt(pp)
-
-        def side_min(qh_s, ph_s):
-            """Vectorized _p4_min; NaN marks 'cannot certify'."""
-            val = np.full(qh_s.shape, np.nan)
-            # proportional case
-            a = ph_s / pp
-            if pq + r * sq_pp >= 0.0:
-                prop_val = np.where(a >= 0.0, a * max(pq - r * sq_pp, 0.0),
-                                    a * (pq + r * sq_pp))
-                val = np.where(prop, prop_val, val)
-            # ball minimizer feasible
-            feas = ~prop & ok & (pq - r * ph_s / np.where(ok, hn, 1.0) >= 0.0)
-            val = np.where(feas, qh_s - r * hn, val)
-            # active half-space
-            rest = ~prop & ok & ~feas
-            if den > 0.0:
-                alpha = np.sqrt(disc / den)
-                beta = (ph_s - alpha * pq) / pp
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    act = qh_s + (beta * ph_s - hn2) / np.where(alpha > 0, alpha, 1.0)
-                val = np.where(rest & (alpha > 0), act, val)
-            elif pq >= 0.0:
-                val = np.where(rest, qh_s - r * hn, val)
-            return val
-
-        mn = side_min(qh, ph)
-        mx = -side_min(-qh, -ph)
+    mn = _halfspace_min(qh, ph, hn, pq, pp, r)
+    mx = -_halfspace_min(-qh, -ph, hn, pq, pp, r)
     # NaN marks a degenerate evaluation: no certificate from this rule.
     up_lin = ~np.isnan(mn) & (mn > 1.0)
-    low_lin = ~np.isnan(mx) & (mx < 1.0 - gamma)
+    low_lin = ~np.isnan(mx) & (mx < 1.0 - problem.loss.gamma)
     # Zero-norm triplets carry H == 0 and are decided by the sphere rule.
+    ok = hn > 0.0
     up_lin = np.where(ok, up_lin, up)
     low_lin = np.where(ok, low_lin, low)
     both = up_lin & low_lin
@@ -531,7 +244,12 @@ def _linear_masks(problem, sphere, halfspace, idx, qh=None):
 
 
 def _psd_masks(problem, sphere, idx, budget, qh=None):
-    """Sphere verdicts tightened by batched SDLS dual ascent."""
+    """Sphere verdicts tightened by batched SDLS dual ascent.
+
+    A feasible point of the ball/cone intersection orients each
+    certificate: the projection of the center, which stays inside any valid
+    ball.  A side is tried only where that point clears its threshold.
+    """
     low, up, qh, hn = _sphere_masks(problem, sphere, idx, qh)
     if sphere.diagonal:
         return low, up
@@ -571,6 +289,16 @@ def _sdls_batch(problem: MetricProblem, q: np.ndarray, r: float,
 
 
 def _sdls_chunk(problem, q, r, rows, c, x0h, budget):
+    """Ascend the 1-d dual of  min ||X - Q||^2  s.t. <X, H> = c, X >= 0.
+
+    A row is certified once its dual value exceeds r^2: weak duality then
+    shows the hyperplane misses the ball/cone intersection, which therefore
+    lies strictly on the side of c that the feasible point ``x0h`` is on.
+    The dual is concave in the scalar y with derivative
+    2 * (c - <[Q + yH]_+, H>); a safeguarded secant iteration on that
+    derivative, with doubling expansion until a sign change brackets the
+    root, costs one eigendecomposition per row and step.
+    """
     ts = problem.triplets
     u = ts.u[rows]
     v = ts.v[rows]

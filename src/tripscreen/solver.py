@@ -47,7 +47,6 @@ class SolveConfig:
     bound: str = "none"
     rule: str = "sphere"
     active_set: bool = False
-    diagonal: bool = False
     psd_rule_budget: int = 30
     # Triplets within this distance above the zero-loss threshold stay in the
     # working set so that spectral-step overshoot cannot strand the iterate

@@ -10,12 +10,64 @@ import numpy as np
 import pytest
 
 from tripscreen import (MetricProblem, SmoothedHingeLoss, SolveConfig,
-                        Triplet, build_triplets, gaussian_blobs, pgd_solve)
+                        TripletSet, TripletStatus, build_triplets,
+                        gaussian_blobs, lambda_ranges_all, pgd_solve,
+                        relaxed_path_bound, screen_all)
 
 
-def dense_h(t: Triplet) -> np.ndarray:
+def dense_h(u, v) -> np.ndarray:
     """Dense comparison matrix u u^T - v v^T (test-only)."""
-    return np.outer(t.u, t.u) - np.outer(t.v, t.v)
+    return np.outer(u, u) - np.outer(v, v)
+
+
+def one_triplet(u, v, loss, diagonal=False):
+    """Problem over the single triplet with factors u = x_i - x_l and
+    v = x_i - x_j."""
+    ts = TripletSet([0], [1], [2], np.asarray(u, dtype=float)[None],
+                    np.asarray(v, dtype=float)[None])
+    return MetricProblem(ts, loss, diagonal=diagonal)
+
+
+def verdicts(problem, sphere, rule="sphere", **kwargs):
+    """Statuses that ``screen_all`` gives every triplet of a fresh problem."""
+    statuses = np.zeros(problem.n_triplets, dtype=np.int8)
+    screen_all(problem, sphere, statuses, rule=rule, **kwargs)
+    return statuses
+
+
+def check_lambda_ranges(problem, m0, eps, lam0):
+    """Check the intervals of ``lambda_ranges_all`` against the verdicts of
+    the relaxed-path sphere rule, triplet by triplet.
+
+    Each side of each triplet is probed on a 50-point lambda grid spanning
+    its interval (or lam0 / 8 .. 8 lam0 when it is empty), skipping points
+    within 1e-9 relative of an endpoint.  Returns the number of grid
+    evaluations and of nonempty intervals.
+    """
+    lo_up, hi_up, lo_low, hi_low = lambda_ranges_all(problem, m0, eps, lam0)
+    tested = 0
+    nonempty = 0
+    for t in range(problem.n_triplets):
+        for lo, hi, status in ((lo_up[t], hi_up[t], TripletStatus.UPPER),
+                               (lo_low[t], hi_low[t], TripletStatus.LOWER)):
+            empty = not lo < hi
+            if empty:
+                grid = np.geomspace(lam0 / 8, lam0 * 8, 50)
+            else:
+                nonempty += 1
+                top = hi if np.isfinite(hi) else 100 * max(lo, lam0)
+                grid = np.geomspace(max(lo, 1e-9) / 2, 2 * top, 50)
+            for lam in grid:
+                if not empty:
+                    if abs(lam - lo) <= 1e-9 * max(1.0, lo):
+                        continue
+                    if np.isfinite(hi) and abs(lam - hi) <= 1e-9 * max(1.0, hi):
+                        continue
+                sphere = relaxed_path_bound(m0, eps, lam0, lam)
+                fired = verdicts(problem, sphere)[t] == status
+                assert fired == (lo < lam < hi), (t, status, lam, lo, hi)
+                tested += 1
+    return tested, nonempty
 
 
 def random_instance(seed, n_lo=20, n_hi=60, d_lo=2, d_hi=5, classes=(2, 3),
@@ -55,7 +107,7 @@ def kkt_reference(problem, lam, tol=1e-12):
     lam * M0 = [sum alpha0 H]_+ at floating-point level.
     """
     res = solve_oracle(problem, lam, tol=tol)
-    alpha0 = problem.dual_from_primal(res.metric).alpha
+    alpha0 = problem.alpha_from_inner(problem.inner(res.metric))
     m0 = problem.m_of_alpha(alpha0, lam)
     return m0, alpha0
 

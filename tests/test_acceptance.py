@@ -14,13 +14,13 @@ from tripscreen import (MetricProblem, PathConfig, SmoothedHingeLoss,
                         SolveConfig, Sphere, TripletStatus, build_triplets,
                         dual_gap_bound, gap_bound, gaussian_blobs,
                         gradient_bound, halfspace_from_iterate, lambda_max,
-                        lambda_range, path_bound, pgd_solve,
-                        projected_gradient_bound, relaxed_path_bound,
-                        run_path, screen_all, sphere_rule)
-from tripscreen.rules import _orthant_min, _p4_min
-from conftest import (dense_h, finite_diff_gradient, grid_p2_extremes,
-                      kkt_reference, numeric_p3_min, numeric_p4_min,
-                      random_instance, solve_oracle)
+                        path_bound, pgd_solve, projected_gradient_bound,
+                        relaxed_path_bound, run_path, screen_all)
+from tripscreen.rules import _halfspace_min, _orthant_min
+from conftest import (check_lambda_ranges, dense_h, finite_diff_gradient,
+                      grid_p2_extremes, kkt_reference, numeric_p3_min,
+                      numeric_p4_min, one_triplet, random_instance,
+                      solve_oracle, verdicts)
 
 GAP_LEVELS = (1e-1, 1e-3, 1e-6)
 LAM_FRACS = (0.3, 0.05, 0.01)
@@ -55,7 +55,7 @@ def spheres_for_reference(problem, lam, ref, rrpb_ref, lam0):
     """The five prescribed sphere bounds built from one reference."""
     m = ref.metric
     inner = problem.inner(m)
-    alpha = problem.dual_from_primal(m, inner=inner).alpha
+    alpha = problem.alpha_from_inner(inner)
     grad = problem.accumulate(problem.loss.grad(inner)) + lam * m
     gb = gradient_bound(m, grad, lam)
     out = {
@@ -235,18 +235,15 @@ def test_criterion_06_rule_oracles():
         if hs.vacuous:
             continue
         u, v = rng.normal(size=d), rng.normal(size=d)
-        from tripscreen import Triplet
-        hn = float(np.sqrt(max((u @ u) ** 2 + (v @ v) ** 2
-                               - 2 * (u @ v) ** 2, 0.0)))
-        if hn == 0.0:
+        t = one_triplet(u, v, loss)
+        if t.h_norms[0] == 0.0:
             continue
-        t = Triplet(0, 1, 2, u, v, hn)
         p = hs.normal
-        mn = _p4_min(t.inner(q), t.inner(p), hn, float(np.vdot(p, q)),
-                     float(np.vdot(p, p)), r)
-        if mn is None:
+        mn = _halfspace_min(t.inner(q), t.inner(p), t.h_norms,
+                            float(np.vdot(p, q)), float(np.vdot(p, p)), r)[0]
+        if np.isnan(mn):
             continue
-        ref = numeric_p4_min(q, r, p, dense_h(t))
+        ref = numeric_p4_min(q, r, p, dense_h(u, v))
         assert abs(mn - ref) <= 1e-6 * max(1.0, abs(ref))
         checked += 1
 
@@ -267,7 +264,6 @@ def test_criterion_06_rule_oracles():
         checked_p3 += 1
 
     # PSD-rule verdicts vs dense grid minimization, 25 decisive d = 2 cases
-    from tripscreen import Triplet, psd_rule
     decisive = 0
     trials = 0
     while decisive < 25 and trials < 600:
@@ -276,13 +272,12 @@ def test_criterion_06_rule_oracles():
         q = b @ b.T / 2
         r = float(rng.uniform(0.2, 1.2))
         u, v = rng.normal(size=2), rng.normal(size=2)
-        hn = float(np.sqrt(max((u @ u) ** 2 + (v @ v) ** 2
-                               - 2 * (u @ v) ** 2, 0.0)))
-        if hn == 0.0:
+        t = one_triplet(u, v, loss)
+        if t.h_norms[0] == 0.0:
             continue
-        t = Triplet(0, 1, 2, u, v, hn)
-        gmin, gmax, band = grid_p2_extremes(q, r, dense_h(t))
-        verdict = psd_rule(Sphere(center=q, radius=r), t, loss, budget=300)
+        gmin, gmax, band = grid_p2_extremes(q, r, dense_h(u, v))
+        verdict = verdicts(t, Sphere(center=q, radius=r), "psd",
+                           budget=300)[0]
         if gmin - 2 * band > 1.0:
             decisive += 1
             assert verdict == TripletStatus.UPPER
@@ -299,7 +294,6 @@ def test_criterion_06_rule_oracles():
 def test_criterion_07_lambda_ranges():
     loss = SmoothedHingeLoss(0.05)
     rng = np.random.default_rng(11)
-    from tripscreen import Triplet
     tested = 0
     nonempty = 0
     for _ in range(100):
@@ -307,31 +301,12 @@ def test_criterion_07_lambda_ranges():
         b = rng.normal(size=(d, d))
         m0 = b @ b.T / (2 * d)
         u, v = rng.normal(size=d), rng.normal(size=d)
-        hn = float(np.sqrt(max((u @ u) ** 2 + (v @ v) ** 2
-                               - 2 * (u @ v) ** 2, 0.0)))
-        t = Triplet(0, 1, 2, u, v, hn)
+        t = one_triplet(u, v, loss)
         eps = float(abs(rng.normal()) * 0.05)
         lam0 = float(rng.uniform(0.5, 4.0))
-        for side, status in (("upper", TripletStatus.UPPER),
-                             ("lower", TripletStatus.LOWER)):
-            rr = lambda_range(m0, eps, lam0, t, loss, side=side)
-            if rr.empty:
-                grid = np.geomspace(lam0 / 8, lam0 * 8, 50)
-            else:
-                nonempty += 1
-                hi = rr.hi if np.isfinite(rr.hi) else 100 * max(rr.lo, lam0)
-                grid = np.geomspace(max(rr.lo, 1e-9) / 2, 2 * hi, 50)
-            for lam in grid:
-                if not rr.empty:
-                    if abs(lam - rr.lo) <= 1e-9 * max(1.0, rr.lo):
-                        continue
-                    if np.isfinite(rr.hi) and \
-                            abs(lam - rr.hi) <= 1e-9 * max(1.0, rr.hi):
-                        continue
-                sphere = relaxed_path_bound(m0, eps, lam0, lam)
-                fired = sphere_rule(sphere, t, loss) == status
-                assert fired == rr.covers(lam), (side, lam, rr)
-                tested += 1
+        counts = check_lambda_ranges(t, m0, eps, lam0)
+        tested += counts[0]
+        nonempty += counts[1]
     assert nonempty >= 20
     ok("07 lambda-ranges", f"({tested} grid evaluations, "
        f"{nonempty} nonempty intervals)")

@@ -115,7 +115,7 @@ class TestGapKernel:
         prob = small_problem
         lam = mid_lambda(prob)
         ref = reference_at(prob, lam, 1e-2)
-        alpha = prob.dual_from_primal(ref.metric).alpha
+        alpha = prob.alpha_from_inner(prob.inner(ref.metric))
         g = gap(prob, ref.metric, lam)
         assert np.array_equal(g.alpha, alpha)
         assert np.isclose(g.value, prob.duality_gap(ref.metric, alpha, lam),
@@ -149,7 +149,7 @@ class TestGapBound:
         prob = small_problem
         lam = mid_lambda(prob)
         ref = reference_at(prob, lam, 1e-2)
-        alpha = prob.dual_from_primal(ref.metric).alpha
+        alpha = prob.alpha_from_inner(prob.inner(ref.metric))
         s = gap_bound(prob, ref.metric, alpha, lam)
         gap = prob.duality_gap(ref.metric, alpha, lam)
         assert np.isclose(s.radius, np.sqrt(2.0 * max(gap, 0.0) / lam), rtol=1e-9)
@@ -168,7 +168,7 @@ class TestGapBound:
         star = solve_oracle(prob, lam).metric
         for level in (1e-1, 1e-4):
             ref = reference_at(prob, lam, level)
-            alpha = prob.dual_from_primal(ref.metric).alpha
+            alpha = prob.alpha_from_inner(prob.inner(ref.metric))
             s = gap_bound(prob, ref.metric, alpha, lam)
             assert np.linalg.norm(star - s.center) <= s.radius + 1e-9
 
@@ -176,7 +176,7 @@ class TestGapBound:
         prob = small_problem
         lam = mid_lambda(prob)
         ref = reference_at(prob, lam, 1e-2)
-        alpha = prob.dual_from_primal(ref.metric).alpha
+        alpha = prob.alpha_from_inner(prob.inner(ref.metric))
         s = gap_bound(prob, ref.metric, alpha, lam)
         form = s.general_form
         assert np.allclose(form.center_at(lam), s.center)
@@ -207,7 +207,7 @@ class TestDualGapBound:
         lam = mid_lambda(prob)
         star = solve_oracle(prob, lam).metric
         ref = reference_at(prob, lam, 1e-3)
-        alpha = prob.dual_from_primal(ref.metric).alpha
+        alpha = prob.alpha_from_inner(prob.inner(ref.metric))
         s = dual_gap_bound(prob, alpha, lam)
         assert np.linalg.norm(star - s.center) <= s.radius + 1e-9
 

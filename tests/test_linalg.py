@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripscreen import (ConvergenceError, check_symmetric, cone_split,
-                        eig_sym, frob_inner, min_eigpair, psd_split)
+from tripscreen import (check_symmetric, cone_split, eig_sym, frob_inner,
+                        psd_split)
 
 
 def random_sym(rng, d, scale=1.0):
@@ -120,39 +120,6 @@ class TestConeSplit:
         plus, minus = cone_split(np.array([1.0, -2.0, 0.0]))
         assert np.allclose(plus, [1.0, 0.0, 0.0])
         assert np.allclose(minus, [0.0, -2.0, 0.0])
-
-
-class TestMinEigpair:
-    def test_diagonal(self):
-        val, vec = min_eigpair(np.diag([5.0, 2.0, -1.0]))
-        assert np.isclose(val, -1.0, atol=1e-9)
-        assert np.allclose(np.abs(vec), [0.0, 0.0, 1.0], atol=1e-6)
-
-    def test_psd_input_nonnegative(self):
-        rng = np.random.default_rng(5)
-        b = rng.normal(size=(5, 5))
-        a = b @ b.T
-        val, _ = min_eigpair(a)
-        assert val >= -1e-9 * np.linalg.norm(a)
-
-    def test_matches_full_decomposition(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            a = random_sym(rng, int(rng.integers(2, 9)), scale=4.0)
-            val, vec = min_eigpair(a)
-            ref = eig_sym(a).values.min()
-            assert abs(val - ref) <= 1e-7 * max(1.0, np.linalg.norm(a))
-            resid = np.linalg.norm(a @ vec - val * vec)
-            assert resid <= 1e-7 * np.linalg.norm(a)
-            assert np.isclose(np.linalg.norm(vec), 1.0)
-
-    def test_budget_exhaustion_carries_iterate(self):
-        rng = np.random.default_rng(7)
-        a = random_sym(rng, 30, scale=2.0)
-        with pytest.raises(ConvergenceError) as err:
-            min_eigpair(a, tol=1e-14, max_iter=2)
-        assert err.value.vector is not None
-        assert err.value.vector.shape == (30,)
 
 
 class TestFrobInner:

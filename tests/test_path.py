@@ -34,7 +34,7 @@ class TestLambdaMax:
         res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-10, max_iter=50_000))
         part = prob.categorize(res.metric)
         assert part.upper.size == 0
-        assert np.allclose(prob.dual_from_primal(res.metric).alpha, 1.0)
+        assert np.allclose(prob.alpha_from_inner(prob.inner(res.metric)), 1.0)
 
     def test_upper_set_nonempty_below_threshold(self, small_problem):
         prob = small_problem
@@ -168,7 +168,7 @@ class TestRunPath:
                              SmoothedHingeLoss(0.05), diagonal=True)
         cfg = PathConfig(decay=0.9, solve=SolveConfig(
             gap_tol=1e-8, max_iter=100_000, bound="relaxed-path",
-            rule="nonneg", diagonal=True))
+            rule="nonneg"))
         out = run_path(prob, cfg)
         assert all(r.result.converged for r in out.records)
         assert all(r.result.metric.min() >= 0 for r in out.records)

@@ -81,9 +81,9 @@ class TestBuildTriplets:
         y = np.array([0, 0, 1])
         ts = build_triplets(Dataset(x, y), k=1)
         assert len(ts) == 2
-        for t in (ts[0], ts[1]):
-            assert np.allclose(t.u, x[t.i] - x[t.l])
-            assert np.allclose(t.v, x[t.i] - x[t.j])
+        for t in (0, 1):
+            assert np.allclose(ts.u[t], x[ts.anchor[t]] - x[ts.other[t]])
+            assert np.allclose(ts.v[t], x[ts.anchor[t]] - x[ts.same[t]])
 
     def test_deterministic_order_and_ranks(self):
         data = gaussian_blobs(30, 3, 2, seed=5)
@@ -157,18 +157,17 @@ class TestBuildTriplets:
         prob = random_instance(seed=12)
         ts = prob.triplets
         for t_idx in range(0, len(ts), max(1, len(ts) // 25)):
-            t = ts[t_idx]
-            ref = np.linalg.norm(dense_h(t))
-            assert np.isclose(t.hnorm, ref, rtol=1e-9, atol=1e-12)
+            ref = np.linalg.norm(dense_h(ts.u[t_idx], ts.v[t_idx]))
+            assert np.isclose(ts.hnorm[t_idx], ref, rtol=1e-9, atol=1e-12)
 
 
 class TestInnerProducts:
     def test_identity_metric(self):
         prob = random_instance(seed=13)
-        t = prob.triplets[0]
+        u, v = prob.triplets.u[0], prob.triplets.v[0]
         m = np.eye(prob.dim)
-        expect = float(t.u @ t.u - t.v @ t.v)
-        assert np.isclose(t.inner(m), expect, rtol=1e-12)
+        expect = float(u @ u - v @ v)
+        assert np.isclose(prob.inner(m)[0], expect, rtol=1e-12)
 
     def test_zero_metric(self):
         prob = random_instance(seed=14)
@@ -181,8 +180,8 @@ class TestInnerProducts:
         m = (m + m.T) / 2
         vals = prob.inner(m)
         for t_idx in range(0, len(prob.triplets), max(1, len(prob.triplets) // 20)):
-            t = prob.triplets[t_idx]
-            assert np.isclose(vals[t_idx], frob_inner(m, dense_h(t)), rtol=1e-9)
+            h = dense_h(prob.triplets.u[t_idx], prob.triplets.v[t_idx])
+            assert np.isclose(vals[t_idx], frob_inner(m, h), rtol=1e-9)
 
 
 class TestObjectives:
@@ -212,8 +211,7 @@ class TestObjectives:
             m = np.array([[m_val]])
             expect = 0.0
             for t_idx in range(len(ts)):
-                t = ts[t_idx]
-                h = t.u[0] ** 2 - t.v[0] ** 2
+                h = ts.u[t_idx, 0] ** 2 - ts.v[t_idx, 0] ** 2
                 expect += prob.loss.value(h * m_val)
             expect += 0.5 * lam * m_val ** 2
             assert np.isclose(prob.primal_value(m, lam), expect, rtol=1e-12)
@@ -258,15 +256,6 @@ class TestDualSide:
         assert loss.grad(1.2) == 0.0            # zero part -> alpha 0
         assert loss.grad(0.5) == -1.0           # linear part -> alpha 1
         assert np.isclose(-loss.grad(0.975), 0.5)
-
-    def test_dual_state_gamma_matrix_psd(self):
-        prob = random_instance(seed=23)
-        rng = np.random.default_rng(1)
-        b = rng.normal(size=(prob.dim, prob.dim))
-        state = prob.dual_from_primal((b + b.T) / 10)
-        vals = np.linalg.eigvalsh(state.gamma_matrix)
-        assert vals.min() >= -1e-9 * max(1.0, np.linalg.norm(state.gamma_matrix))
-        assert state.alpha.min() >= 0.0 and state.alpha.max() <= 1.0
 
     def test_m_of_alpha_zero(self):
         prob = random_instance(seed=24)
@@ -322,15 +311,15 @@ class TestGapAndCategorize:
         prob = small_problem
         lam = 0.05 * max(prob.inner(psd_split(prob.sum_h()).plus).max(), 1.0)
         res = solve_oracle(prob, lam, tol=1e-10)
-        state = prob.dual_from_primal(res.metric)
-        gap = prob.duality_gap(res.metric, state.alpha, lam)
+        alpha = prob.alpha_from_inner(prob.inner(res.metric))
+        gap = prob.duality_gap(res.metric, alpha, lam)
         assert abs(gap) <= 1e-8
 
     def test_gap_nonnegative_at_zero(self):
         prob = random_instance(seed=30)
         m = prob.zero_metric()
-        state = prob.dual_from_primal(m)
-        assert prob.duality_gap(m, state.alpha, 1.0) >= 0.0
+        alpha = prob.alpha_from_inner(prob.inner(m))
+        assert prob.duality_gap(m, alpha, 1.0) >= 0.0
 
     def test_gap_scalar_closed_form(self):
         x = np.array([[0.0], [0.4], [2.0]])
@@ -340,7 +329,7 @@ class TestGapAndCategorize:
         lam = 1.0
         m = np.array([[0.1]])
         alpha = np.full(len(ts), 0.25)
-        hs = np.array([ts[t].u[0] ** 2 - ts[t].v[0] ** 2 for t in range(len(ts))])
+        hs = ts.u[:, 0] ** 2 - ts.v[:, 0] ** 2
         p = sum(prob.loss.value(h * 0.1) for h in hs) + 0.5 * lam * 0.01
         s = float(alpha @ hs)
         d = (-0.5 * 0.05 * float(alpha @ alpha) + alpha.sum()
@@ -381,7 +370,7 @@ class TestGapAndCategorize:
         prob = small_problem
         lam = 0.05 * max(prob.inner(psd_split(prob.sum_h()).plus).max(), 1.0)
         res = solve_oracle(prob, lam, tol=1e-10)
-        alpha = prob.dual_from_primal(res.metric).alpha
+        alpha = prob.alpha_from_inner(prob.inner(res.metric))
         p = prob.primal_value(res.metric, lam)
         d = prob.dual_value(alpha, lam)
         assert abs(p - d) <= 1e-8 * max(1.0, abs(p))

@@ -1,30 +1,26 @@
 import numpy as np
 import pytest
 
-from tripscreen import (MetricProblem, SmoothedHingeLoss, Sphere, Triplet,
-                        TripletStatus, gap_bound, halfspace_from_iterate,
-                        lambda_range, linear_rule, nonneg_rule, path_bound,
-                        psd_rule, psd_split, relaxed_path_bound, screen_all,
-                        sphere_rule)
-from tripscreen.rules import _orthant_min, _p4_min
-from conftest import (dense_h, grid_p2_extremes, random_instance, reference_at,
-                      numeric_p3_min, numeric_p4_min, solve_oracle)
+from tripscreen import (SmoothedHingeLoss, Sphere, TripletStatus, gap_bound,
+                        halfspace_from_iterate, lambda_max, lambda_ranges_all,
+                        path_bound, psd_split, relaxed_path_bound, screen_all)
+from tripscreen.rules import _halfspace_min, _orthant_min
+from conftest import (check_lambda_ranges, dense_h, grid_p2_extremes,
+                      one_triplet, random_instance, reference_at,
+                      numeric_p3_min, numeric_p4_min, solve_oracle, verdicts)
 
 LOSS = SmoothedHingeLoss(0.05)
 
 
-def scalar_triplet(u_val=1.0, v_val=0.0):
-    u = np.array([u_val])
-    v = np.array([v_val])
-    hn = abs(u_val ** 2 - v_val ** 2)
-    return Triplet(0, 1, 2, u, v, hn)
+def scalar_triplet(u_val=1.0, v_val=0.0, diagonal=False):
+    return one_triplet([u_val], [v_val], LOSS, diagonal=diagonal)
 
 
 def make_triplet(rng, d):
+    """One-triplet problem with random factors, and its dense H."""
     u = rng.normal(size=d)
     v = rng.normal(size=d)
-    hn2 = (u @ u) ** 2 + (v @ v) ** 2 - 2.0 * (u @ v) ** 2
-    return Triplet(0, 1, 2, u, v, float(np.sqrt(max(hn2, 0.0))))
+    return one_triplet(u, v, LOSS), dense_h(u, v)
 
 
 def mid_lambda(prob, frac=0.03):
@@ -34,19 +30,19 @@ def mid_lambda(prob, frac=0.03):
 
 class TestSphereRule:
     def test_upper_fires(self):
-        t = scalar_triplet()  # H = [[1]], norm 1
+        prob = scalar_triplet()  # H = [[1]], norm 1
         s = Sphere(center=np.array([[3.0]]), radius=1.0)
-        assert sphere_rule(s, t, LOSS) == TripletStatus.UPPER
+        assert verdicts(prob, s)[0] == TripletStatus.UPPER
 
     def test_lower_fires(self):
-        t = scalar_triplet()
+        prob = scalar_triplet()
         s = Sphere(center=np.array([[-2.0]]), radius=1.0)
-        assert sphere_rule(s, t, LOSS) == TripletStatus.LOWER
+        assert verdicts(prob, s)[0] == TripletStatus.LOWER
 
     def test_unknown_between(self):
-        t = scalar_triplet()
+        prob = scalar_triplet()
         s = Sphere(center=np.array([[1.0]]), radius=1.0)
-        assert sphere_rule(s, t, LOSS) == TripletStatus.UNKNOWN
+        assert verdicts(prob, s)[0] == TripletStatus.UNKNOWN
 
     def test_zero_radius_matches_partition(self, small_problem):
         prob = small_problem
@@ -54,8 +50,9 @@ class TestSphereRule:
         star = solve_oracle(prob, lam).metric
         s = Sphere(center=star, radius=0.0)
         part = prob.categorize(star)
+        statuses = verdicts(prob, s)
         for t_idx in range(0, prob.n_triplets, 3):
-            verdict = sphere_rule(s, prob.triplets[t_idx], prob.loss)
+            verdict = statuses[t_idx]
             if t_idx in part.upper:
                 assert verdict == TripletStatus.UPPER
             elif t_idx in part.lower:
@@ -91,34 +88,31 @@ class TestLinearRule:
     def test_proportional_case_never_screens_upper(self):
         # H = 2P: the constrained minimum collapses to 0
         p = np.diag([0.0, 1.0])
-        val = _p4_min(qh=2.0, ph=2.0, hn=2.0, pq=1.0, pp=1.0, r=2.0)
-        assert val == 0.0
+        val = _halfspace_min(qh=np.array([2.0]), ph=np.array([2.0]),
+                             hn=np.array([2.0]), pq=1.0, pp=1.0, r=2.0)
+        assert val[0] == 0.0
 
     def test_feasible_ball_minimizer_matches_sphere(self):
         rng = np.random.default_rng(1)
         prob = random_instance(seed=40, d_lo=3, d_hi=3)
         lam = mid_lambda(prob)
         ref = reference_at(prob, lam, 1e-2)
-        alpha = prob.dual_from_primal(ref.metric).alpha
+        alpha = prob.alpha_from_inner(prob.inner(ref.metric))
         s = gap_bound(prob, ref.metric, alpha, lam)
         hs = next(h for h in (halfspace_from_iterate(
             ref.metric - (scale / lam) * prob.gradient(ref.metric, lam))
             for scale in (3.0, 10.0, 30.0, 100.0)) if not h.vacuous)
         p = hs.normal
         pq = float(np.vdot(p, s.center))
-        checked = 0
-        for t_idx in range(prob.n_triplets):
-            t = prob.triplets[t_idx]
-            if t.hnorm == 0:
-                continue
-            ph = t.inner(p)
-            if pq - s.radius * ph / t.hnorm >= 0:
-                checked += 1
-                mn = _p4_min(t.inner(s.center), ph, t.hnorm, pq,
-                             float(np.vdot(p, p)), s.radius)
-                assert np.isclose(mn, t.inner(s.center) - s.radius * t.hnorm,
-                                  rtol=1e-12)
-        assert checked > 0
+        qh, ph, hn = prob.inner(s.center), prob.inner(p), prob.h_norms
+        nonzero = hn != 0
+        feasible = nonzero & (pq - s.radius * ph / np.where(nonzero, hn, 1.0)
+                              >= 0)
+        mn = _halfspace_min(qh, ph, hn, pq, float(np.vdot(p, p)), s.radius)
+        assert np.all(np.isclose(mn[feasible],
+                                 qh[feasible] - s.radius * hn[feasible],
+                                 rtol=1e-12))
+        assert np.count_nonzero(feasible) > 0
 
     def test_values_match_numerical_solver(self):
         rng = np.random.default_rng(2)
@@ -134,17 +128,19 @@ class TestLinearRule:
             if hs.vacuous:
                 continue
             p = hs.normal
-            t = make_triplet(rng, d)
-            if t.hnorm == 0:
+            t, h = make_triplet(rng, d)
+            hn = t.h_norms[0]
+            if hn == 0:
                 continue
             pq = float(np.vdot(p, q))
             pp = float(np.vdot(p, p))
-            mn = _p4_min(t.inner(q), t.inner(p), t.hnorm, pq, pp, r)
-            if mn is None:
+            ph = t.inner(p)
+            mn = _halfspace_min(t.inner(q), ph, t.h_norms, pq, pp, r)[0]
+            if np.isnan(mn):
                 continue
-            if pq - r * t.inner(p) / t.hnorm < 0:
+            if pq - r * ph[0] / hn < 0:
                 case3 += 1
-            ref = numeric_p4_min(q, r, p, dense_h(t))
+            ref = numeric_p4_min(q, r, p, h)
             scale = max(1.0, abs(ref))
             assert abs(mn - ref) <= 1e-6 * scale
         assert case3 >= 5  # the active-constraint branch must be exercised
@@ -153,59 +149,55 @@ class TestLinearRule:
         prob = small_problem
         lam = mid_lambda(prob)
         ref = reference_at(prob, lam, 1e-1)
-        alpha = prob.dual_from_primal(ref.metric).alpha
+        alpha = prob.alpha_from_inner(prob.inner(ref.metric))
         s = gap_bound(prob, ref.metric, alpha, lam)
         hs = halfspace_from_iterate(
             ref.metric - (1.0 / lam) * prob.gradient(ref.metric, lam))
-        for t_idx in range(prob.n_triplets):
-            t = prob.triplets[t_idx]
-            s_verdict = sphere_rule(s, t, prob.loss)
-            l_verdict = linear_rule(s, hs, t, prob.loss)
-            if s_verdict != TripletStatus.UNKNOWN:
-                assert l_verdict == s_verdict
+        s_verdict = verdicts(prob, s)
+        l_verdict = verdicts(prob, s, rule="linear", halfspace=hs)
+        decided = s_verdict != TripletStatus.UNKNOWN
+        assert np.array_equal(l_verdict[decided], s_verdict[decided])
 
 
 class TestPsdRule:
     def test_shortcut_returns_unknown(self):
         # the feasible center clears neither threshold (0.95 <= 0.97 <= 1),
         # so both ascents are skipped outright and no budget is consumed
-        t = scalar_triplet()
+        prob = scalar_triplet()
         s = Sphere(center=np.array([[0.97]]), radius=5.0)
-        assert psd_rule(s, t, LOSS, budget=0) == TripletStatus.UNKNOWN
-        assert psd_rule(s, t, LOSS, budget=100) == TripletStatus.UNKNOWN
+        assert verdicts(prob, s, "psd", budget=0)[0] == TripletStatus.UNKNOWN
+        assert verdicts(prob, s, "psd", budget=100)[0] == TripletStatus.UNKNOWN
 
     def test_upper_shortcut_blocks_ascent(self):
         # center value 0.5 <= 1: the zero-part side cannot be certified no
         # matter the budget (the linear-part side may still fire legitimately)
-        t = scalar_triplet()
+        prob = scalar_triplet()
         s = Sphere(center=np.array([[0.5]]), radius=0.2)
-        assert psd_rule(s, t, LOSS, budget=200) != TripletStatus.UPPER
+        assert verdicts(prob, s, "psd", budget=200)[0] != TripletStatus.UPPER
 
     def test_fires_when_sphere_fires(self, small_problem):
         prob = small_problem
         lam = mid_lambda(prob)
         ref = reference_at(prob, lam, 1e-2)
-        alpha = prob.dual_from_primal(ref.metric).alpha
+        alpha = prob.alpha_from_inner(prob.inner(ref.metric))
         s = gap_bound(prob, ref.metric, alpha, lam)
-        for t_idx in range(0, prob.n_triplets, 2):
-            t = prob.triplets[t_idx]
-            sv = sphere_rule(s, t, prob.loss)
-            if sv != TripletStatus.UNKNOWN:
-                assert psd_rule(s, t, prob.loss, budget=50) == sv
+        sv = verdicts(prob, s)[::2]
+        pv = verdicts(prob, s, "psd", budget=50)[::2]
+        decided = sv != TripletStatus.UNKNOWN
+        assert np.array_equal(pv[decided], sv[decided])
 
     def test_linear_dominance(self, small_problem):
         prob = small_problem
         lam = mid_lambda(prob)
         ref = reference_at(prob, lam, 1e-1)
-        alpha = prob.dual_from_primal(ref.metric).alpha
+        alpha = prob.alpha_from_inner(prob.inner(ref.metric))
         s = gap_bound(prob, ref.metric, alpha, lam)
         hs = halfspace_from_iterate(
             ref.metric - (1.0 / lam) * prob.gradient(ref.metric, lam))
-        for t_idx in range(prob.n_triplets):
-            t = prob.triplets[t_idx]
-            lv = linear_rule(s, hs, t, prob.loss)
-            if lv != TripletStatus.UNKNOWN:
-                assert psd_rule(s, t, prob.loss, budget=300) == lv
+        lv = verdicts(prob, s, "linear", halfspace=hs)
+        pv = verdicts(prob, s, "psd", budget=300)
+        decided = lv != TripletStatus.UNKNOWN
+        assert np.array_equal(pv[decided], lv[decided])
 
     def test_verdicts_match_grid_minimization(self):
         rng = np.random.default_rng(3)
@@ -216,12 +208,12 @@ class TestPsdRule:
             b = rng.normal(size=(2, 2))
             q = b @ b.T / 2
             r = float(rng.uniform(0.2, 1.2))
-            t = make_triplet(rng, 2)
-            if t.hnorm == 0:
+            t, h = make_triplet(rng, 2)
+            if t.h_norms[0] == 0:
                 continue
-            gmin, gmax, band = grid_p2_extremes(q, r, dense_h(t))
+            gmin, gmax, band = grid_p2_extremes(q, r, h)
             s = Sphere(center=q, radius=r)
-            verdict = psd_rule(s, t, LOSS, budget=300)
+            verdict = verdicts(t, s, "psd", budget=300)[0]
             upper_true = gmin - 2 * band > 1.0
             upper_false = gmin < 1.0  # grid point is feasible: true min <= gmin
             lower_true = gmax + 2 * band < 1.0 - LOSS.gamma
@@ -243,10 +235,9 @@ class TestPsdRule:
             d = 3
             b = rng.normal(size=(d, d))
             q = b @ b.T / d
-            t = make_triplet(rng, d)
-            if t.hnorm == 0:
+            t, h = make_triplet(rng, d)
+            if t.h_norms[0] == 0:
                 continue
-            h = dense_h(t)
             c = 1.0
             q_sq = float(np.vdot(q, q))
             for y in rng.uniform(-2.0, 2.0, size=8):
@@ -264,8 +255,7 @@ class TestPsdRule:
         d = 3
         b = rng.normal(size=(d, d))
         q = b @ b.T / d
-        t = make_triplet(rng, d)
-        h = dense_h(t)
+        _, h = make_triplet(rng, d)
         c = 1.0
 
         def phi(y):
@@ -278,25 +268,12 @@ class TestPsdRule:
         plus = psd_split(q + y_star * h).plus
         assert abs(float(np.vdot(plus, h)) - c) <= 1e-6
 
-    def test_scalar_matches_batch(self, small_problem):
-        prob = small_problem
-        lam = mid_lambda(prob)
-        for level in (1e-1, 1e-3):
-            ref = reference_at(prob, lam, level)
-            alpha = prob.dual_from_primal(ref.metric).alpha
-            s = gap_bound(prob, ref.metric, alpha, lam)
-            statuses = np.zeros(prob.n_triplets, dtype=np.int8)
-            screen_all(prob, s, statuses, rule="psd", budget=40)
-            for t_idx in range(prob.n_triplets):
-                scalar = psd_rule(s, prob.triplets[t_idx], prob.loss, budget=40)
-                assert statuses[t_idx] == scalar
-
 
 class TestNonnegRule:
     def test_scalar_example(self):
-        t = scalar_triplet()  # diag(H) = [1]
+        prob = scalar_triplet(diagonal=True)  # diag(H) = [1]
         s = Sphere(center=np.array([3.0]), radius=1.0)
-        assert nonneg_rule(s, t, LOSS) == TripletStatus.UPPER
+        assert verdicts(prob, s, "nonneg")[0] == TripletStatus.UPPER
         assert _orthant_min(np.array([1.0]), np.array([3.0]), 1.0) == 2.0
 
     def test_inactive_constraint_equals_sphere_minimum(self):
@@ -327,23 +304,30 @@ class TestNonnegRule:
             assert abs(mn - ref) <= 1e-6 * max(1.0, abs(ref))
 
     def test_requires_diagonal_sphere(self):
-        t = scalar_triplet()
+        prob = scalar_triplet()
         s = Sphere(center=np.array([[1.0]]), radius=0.1)
         with pytest.raises(ValueError):
-            nonneg_rule(s, t, LOSS)
+            verdicts(prob, s, "nonneg")
 
     def test_empty_intersection_returns_unknown(self):
-        t = scalar_triplet()
-        s = Sphere(center=np.array([-5.0]), radius=1.0)
-        assert nonneg_rule(s, t, LOSS) == TripletStatus.UNKNOWN
+        # The ball around -5 misses the orthant: no minimum to certify with.
+        assert _orthant_min(np.array([1.0]), np.array([-5.0]), 1.0) is None
+        # screen_all applies the sphere rule first (it would call the 1-d
+        # ball LOWER), so the rule itself is checked where that is undecided:
+        # diag(H) = [0.5, 1], <H, Q> = 0.5, ||H|| = 1.118.
+        prob = one_triplet([1.0, 1.0], [np.sqrt(0.5), 0.0], LOSS,
+                           diagonal=True)
+        s = Sphere(center=np.array([-5.0, 3.0]), radius=1.0)
+        assert verdicts(prob, s)[0] == TripletStatus.UNKNOWN
+        assert verdicts(prob, s, "nonneg")[0] == TripletStatus.UNKNOWN
 
 
 class TestLambdaRange:
     def test_precondition_failure_is_empty(self):
         m0 = np.array([[0.1]])
-        t = scalar_triplet()  # <H, M0> = 0.1; 0.1 - 2 + 0.1 < 0
-        r = lambda_range(m0, 0.0, 1.0, t, LOSS, side="upper")
-        assert r.empty
+        prob = scalar_triplet()  # <H, M0> = 0.1; 0.1 - 2 + 0.1 < 0
+        lo, hi = lambda_ranges_all(prob, m0, 0.0, 1.0)[:2]
+        assert not lo[0] < hi[0]
 
     def test_zero_eps_consistency_at_reference_lambda(self):
         rng = np.random.default_rng(8)
@@ -351,12 +335,12 @@ class TestLambdaRange:
             d = 3
             b = rng.normal(size=(d, d))
             m0 = b @ b.T / d
-            t = make_triplet(rng, d)
+            t, _ = make_triplet(rng, d)
             lam0 = float(rng.uniform(0.5, 3.0))
-            rng_up = lambda_range(m0, 0.0, lam0, t, LOSS, side="upper")
+            lo, hi = lambda_ranges_all(t, m0, 0.0, lam0)[:2]
             sphere0 = path_bound(m0, lam0, lam0)  # zero-radius ball at m0
-            fired = sphere_rule(sphere0, t, LOSS) == TripletStatus.UPPER
-            assert rng_up.covers(lam0) == fired
+            fired = verdicts(t, sphere0)[0] == TripletStatus.UPPER
+            assert (lo[0] < lam0 < hi[0]) == fired
 
     @pytest.mark.parametrize("side", ["upper", "lower"])
     def test_interval_matches_direct_evaluation(self, side):
@@ -366,27 +350,50 @@ class TestLambdaRange:
             d = 4
             b = rng.normal(size=(d, d))
             m0 = b @ b.T / (2 * d)
-            t = make_triplet(rng, d)
+            t, _ = make_triplet(rng, d)
             eps = float(abs(rng.normal()) * 0.05)
             lam0 = float(rng.uniform(0.5, 3.0))
-            r = lambda_range(m0, eps, lam0, t, LOSS, side=side)
-            if r.empty:
+            ranges = lambda_ranges_all(t, m0, eps, lam0)
+            lo, hi = (ranges[:2] if side == "upper" else ranges[2:])
+            lo, hi = lo[0], hi[0]
+            empty = not lo < hi
+            if empty:
                 grid = np.geomspace(lam0 / 8, lam0 * 8, 17)
             else:
-                hi = r.hi if np.isfinite(r.hi) else 100 * max(r.lo, lam0)
-                grid = np.geomspace(max(r.lo, 1e-6) / 2, 2 * hi, 50)
+                top = hi if np.isfinite(hi) else 100 * max(lo, lam0)
+                grid = np.geomspace(max(lo, 1e-6) / 2, 2 * top, 50)
             for lam in grid:
-                if not r.empty:
-                    near_lo = abs(lam - r.lo) <= 1e-9 * max(1.0, r.lo)
-                    near_hi = np.isfinite(r.hi) and abs(lam - r.hi) <= 1e-9 * max(1.0, r.hi)
+                if not empty:
+                    near_lo = abs(lam - lo) <= 1e-9 * max(1.0, lo)
+                    near_hi = np.isfinite(hi) and abs(lam - hi) <= 1e-9 * max(1.0, hi)
                     if near_lo or near_hi:
                         continue
                 sphere = relaxed_path_bound(m0, eps, lam0, lam)
-                verdict = sphere_rule(sphere, t, LOSS)
+                verdict = verdicts(t, sphere)[0]
                 want = TripletStatus.UPPER if side == "upper" else TripletStatus.LOWER
-                assert (verdict == want) == r.covers(lam)
+                assert (verdict == want) == (lo < lam < hi)
                 tested += 1
         assert tested > 500
+
+    def test_diagonal_mode_intervals(self):
+        prob = random_instance(seed=41, diagonal=True)
+        lam0 = 0.3 * lambda_max(prob)
+        ref = reference_at(prob, lam0, 1e-3)
+        eps = float(np.sqrt(2.0 * ref.gap / lam0))
+        tested, nonempty = check_lambda_ranges(prob, ref.metric, eps, lam0)
+        assert nonempty >= 20
+        assert tested >= 50 * prob.n_triplets
+
+    def test_negative_eps_rejected(self):
+        prob = scalar_triplet()
+        with pytest.raises(ValueError, match="eps"):
+            lambda_ranges_all(prob, np.array([[0.1]]), -1e-9, 1.0)
+
+    @pytest.mark.parametrize("lam0", [0.0, -1.0])
+    def test_nonpositive_lam0_rejected(self, lam0):
+        prob = scalar_triplet()
+        with pytest.raises(ValueError, match="lam0"):
+            lambda_ranges_all(prob, np.array([[0.1]]), 0.0, lam0)
 
 
 class TestScreenAll:
@@ -402,7 +409,7 @@ class TestScreenAll:
         prob = small_problem
         lam = mid_lambda(prob)
         ref = reference_at(prob, lam, 1e-3)
-        alpha = prob.dual_from_primal(ref.metric).alpha
+        alpha = prob.alpha_from_inner(prob.inner(ref.metric))
         s = gap_bound(prob, ref.metric, alpha, lam)
         statuses = np.zeros(prob.n_triplets, dtype=np.int8)
         first = screen_all(prob, s, statuses)
@@ -414,7 +421,7 @@ class TestScreenAll:
         prob = small_problem
         lam = mid_lambda(prob)
         ref = reference_at(prob, lam, 1e-3)
-        alpha = prob.dual_from_primal(ref.metric).alpha
+        alpha = prob.alpha_from_inner(prob.inner(ref.metric))
         s = gap_bound(prob, ref.metric, alpha, lam)
         statuses = np.zeros(prob.n_triplets, dtype=np.int8)
         screen_all(prob, s, statuses)
@@ -431,7 +438,7 @@ class TestScreenAll:
         prev_remaining = prob.n_triplets
         for level in (1e-1, 1e-2, 1e-4):
             ref = reference_at(prob, lam, level)
-            alpha = prob.dual_from_primal(ref.metric).alpha
+            alpha = prob.alpha_from_inner(prob.inner(ref.metric))
             s = gap_bound(prob, ref.metric, alpha, lam)
             counts = screen_all(prob, s, statuses)
             assert counts.remaining <= prev_remaining
@@ -441,7 +448,7 @@ class TestScreenAll:
         prob = small_problem
         lam = mid_lambda(prob)
         ref = reference_at(prob, lam, 1e-3)
-        alpha = prob.dual_from_primal(ref.metric).alpha
+        alpha = prob.alpha_from_inner(prob.inner(ref.metric))
         dgb = gap_bound(prob, ref.metric, alpha, lam)
         from tripscreen import gradient_bound, projected_gradient_bound
         pgb = projected_gradient_bound(gradient_bound(

@@ -54,7 +54,7 @@ class TestPgdSolve:
         assert res.converged
         assert np.linalg.norm(res.metric - expect) <= 1e-6
         assert prob.categorize(res.metric).upper.size == 0
-        alpha = prob.dual_from_primal(res.metric).alpha
+        alpha = prob.alpha_from_inner(prob.inner(res.metric))
         assert np.allclose(alpha, 1.0)
 
     def test_single_triplet_scalar_closed_form(self):
