@@ -51,16 +51,21 @@ def eig_sym(a) -> EigDecomp:
     """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
     a = check_symmetric(a)
     w, v = np.linalg.eigh(a)
-    return EigDecomp(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
+    return EigDecomp(values=w[::-1], vectors=v[:, ::-1])
+
+
+def split_eig(dec: EigDecomp) -> PsdSplit:
+    """PSD projection and NSD remainder of the matrix ``dec`` decomposes."""
+    # Summed in ascending eigenvalue order, as eigh returns them.
+    w, v = dec.values[::-1], dec.vectors[:, ::-1]
+    plus = (v * np.maximum(w, 0.0)) @ v.T
+    minus = (v * np.minimum(w, 0.0)) @ v.T
+    return PsdSplit(plus=(plus + plus.T) / 2.0, minus=(minus + minus.T) / 2.0)
 
 
 def psd_split(a) -> PsdSplit:
     """Split a symmetric matrix into its PSD projection and NSD remainder."""
-    a = check_symmetric(a)
-    w, v = np.linalg.eigh(a)
-    plus = (v * np.maximum(w, 0.0)) @ v.T
-    minus = (v * np.minimum(w, 0.0)) @ v.T
-    return PsdSplit(plus=(plus + plus.T) / 2.0, minus=(minus + minus.T) / 2.0)
+    return split_eig(eig_sym(a))
 
 
 def cone_split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

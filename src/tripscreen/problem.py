@@ -124,14 +124,14 @@ class TripletSet:
         return self.u.shape[1]
 
 
-def _rank2_norm(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Frobenius norm of u u^T - v v^T, row by row, without cancellation.
+def _rank2_parts(u: np.ndarray, v: np.ndarray):
+    """Trace and wedge of H = u u^T - v v^T, row by row, without cancellation.
 
-    With w = u - v (= x_j - x_l, exact when x_j and x_l nearly coincide),
-    ||H||^2 = (w.(u+v))^2 + 2 ||u||^2 ||w_perp||^2, where w_perp is the part
-    of w orthogonal to u.  Both terms are nonnegative, whereas the textbook
-    ||u||^4 + ||v||^4 - 2 <u,v>^2 loses every digit as w -> 0 and can
-    understate the norm that every screening rule scales its radius by.
+    H has one eigenvalue s+ >= 0, one -s- <= 0 and d - 2 zeros.  Returned are
+    s+ - s- = ||u||^2 - ||v||^2 = w.(u+v) and s+ s- = ||u||^2 ||v||^2 - <u,v>^2
+    = ||u||^2 ||w_perp||^2, with w = u - v (= x_j - x_l, exact when x_j and
+    x_l nearly coincide) and w_perp the part of w orthogonal to u.  The
+    textbook forms lose every digit as w -> 0.
     """
     w = u - v
     uu = np.einsum("md,md->m", u, u)
@@ -139,8 +139,22 @@ def _rank2_norm(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     coef = np.divide(wu, uu, out=np.zeros_like(uu), where=uu > 0.0)
     w_perp = w - coef[:, None] * u
     along = np.einsum("md,md->m", w, u + v)
-    return np.sqrt(along ** 2
-                   + 2.0 * uu * np.einsum("md,md->m", w_perp, w_perp))
+    return along, uu * np.einsum("md,md->m", w_perp, w_perp)
+
+
+def _rank2_norm(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Frobenius norm of u u^T - v v^T, row by row, without cancellation:
+    ||H||^2 = (s+ - s-)^2 + 2 s+ s-, both terms nonnegative (see
+    ``_rank2_parts``), so the norm every screening rule scales its radius by
+    is never understated by rounding.
+    """
+    along, wedge = _rank2_parts(u, v)
+    return np.sqrt(along ** 2 + 2.0 * wedge)
+
+
+# Anchors whose squared distances ``build_triplets`` holds at once: it keeps
+# an _ANCHOR_BLOCK x n block, never the n x n matrix.
+_ANCHOR_BLOCK = 256
 
 
 def build_triplets(data: Dataset, k: Optional[int] = None) -> TripletSet:
@@ -149,7 +163,8 @@ def build_triplets(data: Dataset, k: Optional[int] = None) -> TripletSet:
     broken by smaller sample index).  ``k=None`` uses all available neighbors.
 
     Order is deterministic: ascending anchor, then same-neighbor rank, then
-    other-neighbor rank.
+    other-neighbor rank.  Distances are formed one block of anchors at a
+    time, each entry by the same arithmetic whatever the block.
     """
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
@@ -158,25 +173,26 @@ def build_triplets(data: Dataset, k: Optional[int] = None) -> TripletSet:
     n = data.n_samples
 
     sq = np.einsum("nd,nd->n", x, x)
-    dist2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(dist2, 0.0, out=dist2)
-
     anchors, sames, others = [], [], []
     idx_all = np.arange(n)
-    for i in range(n):
-        same_pool = idx_all[(y == y[i]) & (idx_all != i)]
-        other_pool = idx_all[y != y[i]]
-        if same_pool.size == 0 or other_pool.size == 0:
-            continue
-        ks = same_pool.size if k is None else min(k, same_pool.size)
-        ko = other_pool.size if k is None else min(k, other_pool.size)
-        same_order = same_pool[np.lexsort((same_pool, dist2[i, same_pool]))][:ks]
-        other_order = other_pool[np.lexsort((other_pool, dist2[i, other_pool]))][:ko]
-        jj = np.repeat(same_order, ko)
-        ll = np.tile(other_order, ks)
-        anchors.append(np.full(ks * ko, i, dtype=np.int64))
-        sames.append(jj)
-        others.append(ll)
+    for start in range(0, n, _ANCHOR_BLOCK):
+        stop = min(start + _ANCHOR_BLOCK, n)
+        dist2 = (sq[start:stop, None] + sq[None, :]
+                 - 2.0 * np.einsum("bd,nd->bn", x[start:stop], x))
+        np.maximum(dist2, 0.0, out=dist2)
+        for i in range(start, stop):
+            same_pool = idx_all[(y == y[i]) & (idx_all != i)]
+            other_pool = idx_all[y != y[i]]
+            if same_pool.size == 0 or other_pool.size == 0:
+                continue
+            ks = same_pool.size if k is None else min(k, same_pool.size)
+            ko = other_pool.size if k is None else min(k, other_pool.size)
+            row = dist2[i - start]
+            same_order = same_pool[np.lexsort((same_pool, row[same_pool]))][:ks]
+            other_order = other_pool[np.lexsort((other_pool, row[other_pool]))][:ko]
+            anchors.append(np.full(ks * ko, i, dtype=np.int64))
+            sames.append(np.repeat(same_order, ko))
+            others.append(np.tile(other_order, ks))
 
     if not anchors:
         raise ValueError("no triplets could be built (need mixed-class data)")

@@ -14,6 +14,16 @@ form), and the PSD rule (sphere + full semidefinite constraint, certified by
 dual ascent on a semidefinite least-squares subproblem).  Diagonal-mode
 metrics use the exact nonnegative-orthant rule instead.
 
+The PSD rule's ascent costs one eigendecomposition per row and step.  When
+the sphere's center Q is PSD, its first step is settled in closed form from
+one eigendecomposition of Q: that step lands on the point of the hyperplane
+nearest Q, and when that point lies in the cone (a rank-2 secular
+determinant in Q's eigenbasis, O(d) per row) the semidefinite problem is no
+harder than the sphere rule, which already left the row open, so the row
+cannot be certified and skips the ascent.  The shortcut only withholds
+certificates; ``_first_step_in_cone`` derives why it withholds none that
+the ascent would issue.
+
 Each rule family has one batch kernel, evaluated over many triplets at once
 and reached through ``screen_all``; a single triplet is a one-row call.
 ``lambda_ranges_all`` likewise gives the regularization intervals over which
@@ -31,8 +41,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import Sphere
-from .linalg import cone_split
-from .problem import MetricProblem, TripletStatus
+from .linalg import EigDecomp, cone_split, eig_sym, split_eig
+from .problem import MetricProblem, TripletStatus, _rank2_parts
 
 # Relative slack demanded beyond a certification threshold before a verdict
 # is issued by the iterative PSD rule (its dual values carry eigensolver
@@ -248,47 +258,130 @@ def _psd_masks(problem, sphere, idx, budget, qh=None):
 
     A feasible point of the ball/cone intersection orients each
     certificate: the projection of the center, which stays inside any valid
-    ball.  A side is tried only where that point clears its threshold.
+    ball.  A side is tried only where that point clears its threshold.  The
+    ascent measures distances from the center itself.  One
+    eigendecomposition of the center gives the projection and, when the
+    center is PSD (so the feasible point is the center), the closed form of
+    the ascent's first step (``_first_step_in_cone``), which settles without
+    an eigendecomposition every row that step shows cannot be certified.
     """
     low, up, qh, hn = _sphere_masks(problem, sphere, idx, qh)
     if sphere.diagonal:
         return low, up
-    q_plus, q_minus = cone_split(sphere.center)
+    eig = eig_sym(sphere.center)
+    q_plus, q_minus = split_eig(eig)
     r = sphere.radius
     minus_norm = float(np.linalg.norm(q_minus))
     if minus_norm > r + 1e-12 * max(1.0, r):
         return low, up
     q_is_psd = minus_norm <= 1e-12 * max(1.0, float(np.linalg.norm(sphere.center)))
-    q = q_plus if q_is_psd else sphere.center
-    x0h = qh if q_is_psd else problem.inner(q_plus, idx)
+    if q_is_psd:
+        x0h = qh
+    else:
+        x0h = problem.inner(q_plus, idx)
+        eig = None
 
     gamma = problem.loss.gamma
     undecided = ~(low | up) & (hn > 0.0)
-    cand_up = np.flatnonzero(undecided & (x0h > 1.0))
-    cand_low = np.flatnonzero(undecided & (x0h < 1.0 - gamma))
-    if cand_up.size:
-        fired = _sdls_batch(problem, q, r, idx[cand_up], 1.0,
-                            x0h[cand_up], budget)
-        up[cand_up[fired]] = True
-    if cand_low.size:
-        fired = _sdls_batch(problem, q, r, idx[cand_low], 1.0 - gamma,
-                            x0h[cand_low], budget)
-        low[cand_low[fired]] = True
+    for c, side, cand in ((1.0, up, undecided & (x0h > 1.0)),
+                          (1.0 - gamma, low, undecided & (x0h < 1.0 - gamma))):
+        cand = np.flatnonzero(cand)
+        if cand.size:
+            fired = _sdls_batch(problem, sphere.center, r, idx[cand], c,
+                                qh[cand], x0h[cand], budget, eig)
+            side[cand[fired]] = True
     return low, up
 
 
 def _sdls_batch(problem: MetricProblem, q: np.ndarray, r: float,
-                rows: np.ndarray, c: float, x0h: np.ndarray,
-                budget: int, chunk: int = 4096) -> np.ndarray:
-    """Vectorized SDLS dual ascent over many triplets; True where certified."""
+                rows: np.ndarray, c: float, qh: np.ndarray, x0h: np.ndarray,
+                budget: int, eig: Optional[EigDecomp] = None,
+                chunk: int = 4096) -> np.ndarray:
+    """Vectorized SDLS dual ascent over many triplets; True where certified.
+
+    ``qh`` holds <Q, H> per row.  ``eig``, the eigendecomposition of a PSD
+    center Q (then ``x0h == qh``), lets rows whose first ascent step is
+    settled in closed form skip the ascent.
+    """
     fired = np.zeros(rows.size, dtype=bool)
     for start in range(0, rows.size, chunk):
-        sel = slice(start, start + chunk)
-        fired[sel] = _sdls_chunk(problem, q, r, rows[sel], c, x0h[sel], budget)
+        sel = np.arange(start, min(start + chunk, rows.size))
+        if eig is not None:
+            sel = sel[~_first_step_in_cone(problem, eig, rows[sel], c,
+                                           qh[sel], r)]
+        if sel.size:
+            fired[sel] = _sdls_chunk(problem, q, r, rows[sel], c, qh[sel],
+                                     x0h[sel], budget)
     return fired
 
 
-def _sdls_chunk(problem, q, r, rows, c, x0h, budget):
+def _cone_tolerance(u, v, r):
+    """The eigenvalue tolerance tau of ``_first_step_in_cone`` for the rows
+    H = u u^T - v v^T: tau^2 (d - 1 + kappa^2) = _SDLS_GUARD * max(1, r^2),
+    with kappa the ratio of the larger to the smaller nonzero eigenvalue
+    magnitude of H.  Zero where H has rank below 2 (no such tolerance
+    exists)."""
+    along, wedge = _rank2_parts(u, v)
+    s_max = 0.5 * (np.abs(along) + np.sqrt(along ** 2 + 4.0 * wedge))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(wedge > 0.0, wedge / s_max ** 2, 0.0)  # 1 / kappa
+    slack = _SDLS_GUARD * max(1.0, r * r)
+    d = u.shape[1]
+    return math.sqrt(slack) * ratio / np.sqrt((d - 1) * ratio ** 2 + 1.0)
+
+
+def _first_step_in_cone(problem, eig, rows, c, qh, r):
+    """True where the ascent's first step shows that a row of a PSD center
+    Q = V diag(lam) V^T cannot be certified.
+
+    The step is y0 = (c - <Q, H>) / ||H||^2, and X0 = Q + y0 H is the point
+    of the hyperplane <X, H> = c closest to Q, at the sphere distance
+    delta = |c - <Q, H>| / ||H||, which is <= r because the sphere rule left
+    the row open.  In the eigenbasis, with t = |y0|, X0 = diag(lam)
+    + t p p^T - t w w^T, (p, w) = (V^T u, V^T v) for y0 > 0 and
+    (V^T v, V^T u) otherwise.  For B = diag(lam) + tau I + t p p^T > 0,
+    B - t w w^T >= 0 iff 1 - t w^T B^-1 w >= 0, and by the determinant lemma
+    that is f = det(X0 + tau I) / det(diag(lam) + tau I)
+    = (1 + t a)(1 - t b) + t^2 m^2 >= 0, with a, b and m the sums of p^2,
+    w^2 and p w over lam + tau: O(d) per row after the O(d^2) basis change.
+
+    So f >= 0 iff X0 has no eigenvalue below -tau.  Then X0 + tau P is
+    feasible for the SDLS problem, where P = I + (a' - 1) e+ e+^T
+    + (b' - 1) e- e-^T, e+ and e- are the unit eigenvectors of H's nonzero
+    eigenvalues s+ and -s-, a', b' >= 1 with a' s+ = b' s- (so P >= I and
+    <P, H> = 0), and ||P||^2 = d - 1 + kappa^2.  The SDLS optimum, which
+    bounds every dual value (weak duality), is therefore at most
+    ||y0 H + tau P||^2 = delta^2 + tau^2 ||P||^2 <= r^2 + G, where
+    G = _SDLS_GUARD * max(1, r^2) by the choice of tau
+    (``_cone_tolerance``).  The ascent certifies only a dual value above
+    r^2 + G, so in exact arithmetic it would not certify such a row either;
+    settling it here only withholds certificates and never issues one.
+    Rows with tau == 0 or lam + tau not positive are left to the ascent.
+    """
+    ts = problem.triplets
+    u = ts.u[rows]
+    v = ts.v[rows]
+    y0 = (c - qh) / ts.hnorm[rows] ** 2
+    tau = _cone_tolerance(u, v, r)
+    lam = eig.values
+    u_rot = u @ eig.vectors
+    v_rot = v @ eig.vectors
+    pos = (y0 > 0.0)[:, None]
+    p = np.where(pos, u_rot, v_rot)
+    w = np.where(pos, v_rot, u_rot)
+    t = np.abs(y0)
+    ok = (tau > 0.0) & (lam.min() + tau > 0.0)
+    shifted = lam[None, :] + tau[:, None]
+    inv = np.divide(1.0, shifted, out=np.zeros_like(shifted),
+                    where=ok[:, None])
+    a = np.einsum("kd,kd->k", p * p, inv)
+    b = np.einsum("kd,kd->k", w * w, inv)
+    pw = np.einsum("kd,kd->k", p * w, inv)
+    f = (1.0 + t * a) * (1.0 - t * b) + (t * pw) ** 2
+    return ok & (f >= 0.0)
+
+
+def _sdls_chunk(problem, q, r, rows, c, qh, x0h, budget):
     """Ascend the 1-d dual of  min ||X - Q||^2  s.t. <X, H> = c, X >= 0.
 
     A row is certified once its dual value exceeds r^2: weak duality then
@@ -297,14 +390,16 @@ def _sdls_chunk(problem, q, r, rows, c, x0h, budget):
     The dual is concave in the scalar y with derivative
     2 * (c - <[Q + yH]_+, H>); a safeguarded secant iteration on that
     derivative, with doubling expansion until a sign change brackets the
-    root, costs one eigendecomposition per row and step.
+    root, costs one eigendecomposition per row and step.  ``qh`` holds
+    <Q, H> per row.  The first step goes to y0 = (c - x0h) / ||H||^2; for a
+    PSD center (x0h == <Q, H>) that is the step ``_first_step_in_cone``
+    evaluates in closed form, and the rows it settles never reach here.
     """
     ts = problem.triplets
     u = ts.u[rows]
     v = ts.v[rows]
     hd = u[:, :, None] * u[:, None, :] - v[:, :, None] * v[:, None, :]
     hn2 = ts.hnorm[rows] ** 2
-    qh = problem.inner(q, rows)
     q_sq = float(np.vdot(q, q))
     n = rows.size
     r2_guard = r * r + _SDLS_GUARD * max(1.0, r * r)

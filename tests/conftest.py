@@ -174,6 +174,55 @@ def grid_p2_extremes(q, r, h, n_grid=160):
     return float(vals.min()), float(vals.max()), band
 
 
+def grid_p2_cone_distance(q, h, c, n_grid=201, rounds=12):
+    """Distance from q to {X >= 0 : <X, H> = c} for d == 2, by grids on the
+    hyperplane, each centred on the best point of the last; None when no
+    grid point is PSD.
+
+    Grid points are feasible, so the result never understates the
+    distance.  Coordinates (X00, sqrt(2) X01, X11) make the Frobenius
+    metric Euclidean.
+    """
+    def coords(x):
+        return np.array([x[0, 0], np.sqrt(2.0) * x[0, 1], x[1, 1]])
+
+    hv = coords(h)
+    hv_norm = float(np.linalg.norm(hv))
+    foot = coords(q) + (c - coords(q) @ hv) / hv_norm ** 2 * hv
+    delta2 = float(np.sum((foot - coords(q)) ** 2))
+    # orthonormal basis of the hyperplane's directions
+    basis = np.linalg.svd(hv[None, :])[2][1:]
+    centre = np.zeros(2)
+    half = 8.0 * (np.linalg.norm(q) + abs(c) / hv_norm + 1.0)
+    found = False
+    for _ in range(rounds):
+        s1, s2 = np.meshgrid(centre[0] + np.linspace(-half, half, n_grid),
+                             centre[1] + np.linspace(-half, half, n_grid),
+                             indexing="ij")
+        pts = foot + s1[..., None] * basis[0] + s2[..., None] * basis[1]
+        x00, x01, x11 = pts[..., 0], pts[..., 1] / np.sqrt(2.0), pts[..., 2]
+        psd = (x00 >= 0) & (x11 >= 0) & (x01 ** 2 <= x00 * x11)
+        if not psd.any():
+            if found:
+                break
+            half *= 4.0
+            continue
+        found = True
+        s_sq = np.where(psd, s1 ** 2 + s2 ** 2, np.inf)
+        best = np.unravel_index(np.argmin(s_sq), s_sq.shape)
+        centre = np.array([s1[best], s2[best]])
+        step = 2.0 * half / (n_grid - 1)
+        # strong convexity: the minimizer s* lies within sqrt(|s_b|^2 -
+        # |s*|^2) of the best grid point s_b, which is at most
+        # sqrt(4 |s_b| step + 2 step^2) when a feasible grid point lies
+        # within a diagonal step of s*
+        reach = np.sqrt(4.0 * np.sqrt(s_sq[best]) * step + 2.0 * step ** 2)
+        half = max(reach, 3.0 * step)
+    if not found:
+        return None
+    return float(np.sqrt(delta2 + centre @ centre))
+
+
 def finite_diff_gradient(problem, m, lam, h=1e-6):
     """Central finite differences of the primal objective on symmetric
     (or diagonal-mode) perturbations."""

@@ -18,9 +18,9 @@ from tripscreen import (MetricProblem, PathConfig, SmoothedHingeLoss,
                         relaxed_path_bound, run_path, screen_all)
 from tripscreen.rules import _halfspace_min, _orthant_min
 from conftest import (check_lambda_ranges, dense_h, finite_diff_gradient,
-                      grid_p2_extremes, kkt_reference, numeric_p3_min,
-                      numeric_p4_min, one_triplet, random_instance,
-                      solve_oracle, verdicts)
+                      grid_p2_cone_distance, grid_p2_extremes, kkt_reference,
+                      numeric_p3_min, numeric_p4_min, one_triplet,
+                      random_instance, solve_oracle, verdicts)
 
 GAP_LEVELS = (1e-1, 1e-3, 1e-6)
 LAM_FRACS = (0.3, 0.05, 0.01)
@@ -288,7 +288,39 @@ def test_criterion_06_rule_oracles():
             decisive += 1
             assert verdict == TripletStatus.UNKNOWN
     assert decisive >= 25
-    ok("06 rule-oracles", "(50 half-space, 50 orthant, 25 grid cases)")
+
+    # PSD-rule verdicts at r = 0.95, 0.99, 1.01 and 1.05 x the grid distance
+    # rho from the center to the hyperplane <X, H> = c intersected with the
+    # cone, where the sphere distance is at most 0.9 rho (so the cone
+    # decides): the ball misses that set below rho and reaches it above
+    near = 0
+    trials = 0
+    while near < 12 and trials < 400:
+        trials += 1
+        b = rng.normal(size=(2, 2))
+        q = b @ b.T / 2
+        u, v = rng.normal(size=2), rng.normal(size=2)
+        t = one_triplet(u, v, loss)
+        h = dense_h(u, v)
+        qh = float(np.vdot(q, h))
+        if qh > 1.0:
+            c, status = 1.0, TripletStatus.UPPER
+        elif qh < 1.0 - loss.gamma:
+            c, status = 1.0 - loss.gamma, TripletStatus.LOWER
+        else:
+            continue
+        rho = grid_p2_cone_distance(q, h, c)
+        if rho is None or rho > 3.0 or abs(qh - c) > 0.9 * rho * t.h_norms[0]:
+            continue
+        near += 1
+        for factor in (0.95, 0.99, 1.01, 1.05):
+            verdict = verdicts(t, Sphere(center=q, radius=factor * rho), "psd",
+                               budget=300)[0]
+            expect = status if factor < 1.0 else TripletStatus.UNKNOWN
+            assert verdict == expect, (factor, rho)
+    assert near >= 12
+    ok("06 rule-oracles", "(50 half-space, 50 orthant, 25 grid cases, "
+       f"{near} near-threshold PSD cases)")
 
 
 def test_criterion_07_lambda_ranges():

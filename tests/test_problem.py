@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tripscreen import (Dataset, MetricProblem, SmoothedHingeLoss,
                         SolveConfig, build_triplets, frob_inner,
                         gaussian_blobs, pgd_solve, psd_split)
+from tripscreen import problem as problem_module
 from conftest import dense_h, finite_diff_gradient, random_instance, solve_oracle
 
 
@@ -108,6 +109,24 @@ class TestBuildTriplets:
         anchor0 = [t for t in range(len(ts)) if ts.anchor[t] == 0]
         # both same-class candidates sit at distance 2: the tie goes to index 1
         assert ts.same[anchor0[0]] == 1
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_anchor_blocks_match_one_block(self, monkeypatch, block, ties):
+        # the distance block holds _ANCHOR_BLOCK anchors; its edges must not
+        # change the triplets, also with exact distance ties (integer data)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(53, 3)) * 2.0
+        if ties:
+            x = np.round(x)
+        data = Dataset(x, rng.integers(0, 3, size=53))
+        monkeypatch.setattr(problem_module, "_ANCHOR_BLOCK", 53)
+        whole = build_triplets(data, k=4)
+        monkeypatch.setattr(problem_module, "_ANCHOR_BLOCK", block)
+        blocked = build_triplets(data, k=4)
+        for field in ("anchor", "same", "other", "u", "v"):
+            assert np.array_equal(getattr(blocked, field),
+                                  getattr(whole, field))
 
     def test_segment_shaped_count(self):
         # 2310 samples, 7 balanced classes, 90% subsample, k=20:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tripscreen import (SmoothedHingeLoss, Sphere, TripletStatus, gap_bound,
+from tripscreen import (MetricProblem, SmoothedHingeLoss, Sphere, TripletSet,
+                        TripletStatus, eig_sym, gap_bound,
                         halfspace_from_iterate, lambda_max, lambda_ranges_all,
                         path_bound, psd_split, relaxed_path_bound, screen_all)
-from tripscreen.rules import _halfspace_min, _orthant_min
+from tripscreen.rules import (_cone_tolerance, _first_step_in_cone,
+                              _halfspace_min, _orthant_min, _sdls_batch,
+                              _sphere_masks)
 from conftest import (check_lambda_ranges, dense_h, grid_p2_extremes,
                       one_triplet, random_instance, reference_at,
                       numeric_p3_min, numeric_p4_min, solve_oracle, verdicts)
@@ -267,6 +272,91 @@ class TestPsdRule:
         y_star = brentq(phi, -50.0, 50.0, xtol=1e-13)
         plus = psd_split(q + y_star * h).plus
         assert abs(float(np.vdot(plus, h)) - c) <= 1e-6
+
+
+def first_step_case(seed, d, rank, m=16):
+    """A PSD center of the given rank (rank-deficient below d), m random
+    triplets and a radius that leaves some of them to the PSD rule."""
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(d, rank))
+    q = b @ b.T / rank
+    u = rng.normal(size=(m, d))
+    v = rng.normal(size=(m, d))
+    zeros = np.zeros(m, dtype=int)
+    prob = MetricProblem(TripletSet(zeros, zeros, zeros, u, v), LOSS)
+    qh = prob.inner(q)
+    c = np.where(qh > 1.0, 1.0, 1.0 - LOSS.gamma)
+    dist = np.abs(qh - c) / prob.h_norms
+    r = float(np.quantile(dist, rng.uniform(0.2, 0.9)) * rng.uniform(1.0, 2.0))
+    return prob, q, r
+
+
+def check_first_step(prob, q, r, budget=100):
+    """Check the closed-form first step of the PSD rule on a PSD center.
+
+    Every row it settles has min eig(Q + y0 H) >= -tau, and ``screen_all``
+    gives the verdicts of the ascent run on every candidate row.  Returns
+    the rows settled with y0 > 0 and y0 < 0, and the rows the ascent
+    certified although Q + y0 H is not PSD.
+    """
+    ts = prob.triplets
+    idx = np.arange(prob.n_triplets)
+    low, up, qh, hn = _sphere_masks(prob, Sphere(center=q, radius=r), idx)
+    open_rows = ~(low | up) & (hn > 0.0)
+    settled_pos = settled_neg = certified_outside = 0
+    for c, side, cand in ((1.0, up, open_rows & (qh > 1.0)),
+                          (1.0 - LOSS.gamma, low,
+                           open_rows & (qh < 1.0 - LOSS.gamma))):
+        rows = np.flatnonzero(cand)
+        if rows.size == 0:
+            continue
+        settled = _first_step_in_cone(prob, eig_sym(q), rows, c, qh[rows], r)
+        tau = _cone_tolerance(ts.u[rows], ts.v[rows], r)
+        fired = _sdls_batch(prob, q, r, rows, c, qh[rows], qh[rows], budget)
+        side[rows[fired]] = True
+        for k, row in enumerate(rows):
+            y0 = (c - qh[row]) / ts.hnorm[row] ** 2
+            x0 = q + y0 * dense_h(ts.u[row], ts.v[row])
+            low_eig = np.linalg.eigvalsh(x0).min()
+            if settled[k]:
+                rounding = 1e-12 * max(1.0, np.linalg.norm(x0))
+                assert low_eig >= -tau[k] - rounding
+                settled_pos += y0 > 0
+                settled_neg += y0 < 0
+            elif fired[k] and low_eig < -1e-9:
+                certified_outside += 1
+    expect = np.zeros(prob.n_triplets, dtype=np.int8)
+    expect[low & ~up] = TripletStatus.LOWER
+    expect[up & ~low] = TripletStatus.UPPER
+    got = verdicts(prob, Sphere(center=q, radius=r), "psd", budget=budget)
+    assert np.array_equal(got, expect)
+    return settled_pos, settled_neg, certified_outside
+
+
+class TestPsdFirstStep:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.data())
+    def test_closed_form_matches_ascent(self, seed, d, data):
+        rank = data.draw(st.integers(1, d), label="rank")
+        check_first_step(*first_step_case(seed, d, rank))
+
+    def test_covers_both_signs_and_ascent_certificates(self):
+        # fixed draws over d = 2..6 and every rank: the shortcut must fire
+        # for both signs of y0, and the ascent must still certify rows whose
+        # first step leaves the cone
+        totals = np.zeros(3, dtype=int)
+        for seed in range(40):
+            for d in range(2, 7):
+                prob, q, r = first_step_case(seed, d, 1 + seed % d)
+                totals += check_first_step(prob, q, r)
+        assert np.all(totals >= 20), totals
+
+    def test_rank_one_h_goes_to_ascent(self):
+        # v parallel to u: H has rank 1 and no tolerance exists
+        prob = one_triplet([1.0, 2.0], [0.5, 1.0], LOSS)
+        assert _cone_tolerance(prob.triplets.u, prob.triplets.v, 1.0)[0] == 0.0
+        assert not _first_step_in_cone(prob, eig_sym(np.eye(2)), np.array([0]),
+                                       1.0, prob.inner(np.eye(2)), 1.0)[0]
 
 
 class TestNonnegRule:
