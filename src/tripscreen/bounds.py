@@ -1,8 +1,8 @@
 """Sphere regions certified to contain the optimal metric.
 
-Six constructions are provided.  All return a ``Sphere``; those whose center
-and squared radius are affine/quadratic in 1/lam also carry the coefficients
-of that closed form, which is what the range-based screening consumes.
+Six constructions are provided, each returning a ``Sphere``.  Range
+screening does not read them: ``rules.lambda_ranges_all`` derives its lambda
+intervals from the relaxed path bound in closed form.
 
 Every radius that comes from a duality gap takes it from ``gap``, which sums
 nonnegative Fenchel-Young terms instead of subtracting the dual value from
@@ -22,30 +22,11 @@ from .problem import MetricProblem, Pins
 
 
 @dataclass(frozen=True)
-class GeneralForm:
-    """Center A + B/lam with squared radius a + b/lam + c/lam^2."""
-
-    a_mat: np.ndarray
-    b_mat: np.ndarray
-    a: float
-    b: float
-    c: float
-
-    def center_at(self, lam: float) -> np.ndarray:
-        return self.a_mat + self.b_mat / lam
-
-    def radius_sq_at(self, lam: float) -> float:
-        return self.a + self.b / lam + self.c / lam ** 2
-
-
-@dataclass(frozen=True)
 class Sphere:
     """Ball ||X - center||_F <= radius guaranteed to contain the optimum."""
 
     center: np.ndarray
     radius: float
-    lam: Optional[float] = None          # regularization value it was built for
-    general_form: Optional[GeneralForm] = None
     radius_clamped: bool = False         # squared radius rounded up to 0
 
     @property
@@ -69,7 +50,6 @@ class DualityGap(NamedTuple):
     alpha: np.ndarray        # dual weights
     loss_sum: float          # loss part of the objective at M, pins included
     s: np.ndarray            # S = S_L + sum over the free rows of alpha_t H_t
-    s_plus: np.ndarray       # [S]_+
 
 
 def _free_rows(problem: MetricProblem, statuses):
@@ -138,7 +118,7 @@ def gap(problem: MetricProblem, m: np.ndarray, lam: float,
         loss_sum += (pins.n_lower * (1.0 - 0.5 * loss.gamma)
                      - float(np.vdot(pins.sum_h_lower, m)))
     return DualityGap(value=value, rows=rows, x=x, alpha=a,
-                      loss_sum=loss_sum, s=s, s_plus=s_plus)
+                      loss_sum=loss_sum, s=s)
 
 
 def gradient_bound(m: np.ndarray, grad: np.ndarray, lam: float) -> Sphere:
@@ -149,15 +129,7 @@ def gradient_bound(m: np.ndarray, grad: np.ndarray, lam: float) -> Sphere:
     grad = np.asarray(grad, dtype=float)
     center = m - grad / (2.0 * lam)
     radius = float(np.linalg.norm(grad)) / (2.0 * lam)
-    xi = grad - lam * m  # loss-term subgradient sum, constant in lam
-    form = GeneralForm(
-        a_mat=m / 2.0,
-        b_mat=-xi / 2.0,
-        a=0.25 * float(np.vdot(m, m)),
-        b=0.5 * float(np.vdot(xi, m)),
-        c=0.25 * float(np.vdot(xi, xi)),
-    )
-    return Sphere(center=center, radius=radius, lam=lam, general_form=form)
+    return Sphere(center=center, radius=radius)
 
 
 def projected_gradient_bound(sphere: Sphere) -> Sphere:
@@ -168,7 +140,7 @@ def projected_gradient_bound(sphere: Sphere) -> Sphere:
     r2 = sphere.radius ** 2 - float(np.vdot(minus, minus))
     clamped = r2 < 0.0
     return Sphere(center=plus, radius=math.sqrt(max(r2, 0.0)),
-                  lam=sphere.lam, radius_clamped=clamped)
+                  radius_clamped=clamped)
 
 
 def gap_bound(problem: MetricProblem, m: np.ndarray, alpha: np.ndarray,
@@ -178,13 +150,7 @@ def gap_bound(problem: MetricProblem, m: np.ndarray, alpha: np.ndarray,
     _require_positive(lam)
     m = np.asarray(m, dtype=float)
     g = gap(problem, m, lam, alpha=alpha, inner=inner)
-    # The closed form in 1/lam keeps P - D split into its lam-free parts.
-    fenchel = g.loss_sum + float(np.sum(problem.loss.conjugate(g.alpha)))
-    form = GeneralForm(a_mat=m, b_mat=np.zeros_like(m),
-                       a=float(np.vdot(m, m)), b=2.0 * fenchel,
-                       c=float(np.vdot(g.s_plus, g.s_plus)))
-    return Sphere(center=m, radius=math.sqrt(2.0 * g.value / lam),
-                  lam=lam, general_form=form)
+    return Sphere(center=m, radius=math.sqrt(2.0 * g.value / lam))
 
 
 def dual_gap_bound(problem: MetricProblem, alpha: np.ndarray, lam: float,
@@ -200,7 +166,7 @@ def dual_gap_bound(problem: MetricProblem, alpha: np.ndarray, lam: float,
     s_plus, _ = cone_split(_dual_sum(problem, alpha, pins, rows))
     center = s_plus / lam
     g = gap(problem, center, lam, pins, alpha=alpha)
-    return Sphere(center=center, radius=math.sqrt(g.value / lam), lam=lam)
+    return Sphere(center=center, radius=math.sqrt(g.value / lam))
 
 
 def path_bound(m_opt: np.ndarray, lam0: float, lam1: float) -> Sphere:
@@ -215,14 +181,7 @@ def path_bound(m_opt: np.ndarray, lam0: float, lam1: float) -> Sphere:
     center = (lam0 + lam1) / (2.0 * lam1) * m_opt
     norm = float(np.linalg.norm(m_opt))
     radius = abs(lam0 - lam1) / (2.0 * lam1) * norm
-    form = GeneralForm(
-        a_mat=m_opt / 2.0,
-        b_mat=(lam0 / 2.0) * m_opt,
-        a=0.25 * norm ** 2,
-        b=-0.5 * lam0 * norm ** 2,
-        c=0.25 * lam0 ** 2 * norm ** 2,
-    )
-    return Sphere(center=center, radius=radius, lam=lam1, general_form=form)
+    return Sphere(center=center, radius=radius)
 
 
 def relaxed_path_bound(m0: np.ndarray, eps: float, lam0: float,
@@ -242,17 +201,4 @@ def relaxed_path_bound(m0: np.ndarray, eps: float, lam0: float,
     center = (lam0 + lam1) / (2.0 * lam1) * m0
     dl = abs(lam0 - lam1)
     radius = dl / (2.0 * lam1) * norm + (dl + lam0 + lam1) / (2.0 * lam1) * eps
-
-    # Piecewise closed form in 1/lam: the radius is affine in 1/lam on each
-    # side of lam0, so the stored coefficients match the branch of lam1.
-    if lam1 <= lam0:
-        k = 0.5 * lam0 * norm + lam0 * eps
-        s = 0.5 * norm
-        form = GeneralForm(a_mat=m0 / 2.0, b_mat=(lam0 / 2.0) * m0,
-                           a=s ** 2, b=-2.0 * s * k, c=k ** 2)
-    else:
-        s = eps + 0.5 * norm
-        k = 0.5 * lam0 * norm
-        form = GeneralForm(a_mat=m0 / 2.0, b_mat=(lam0 / 2.0) * m0,
-                           a=s ** 2, b=-2.0 * s * k, c=k ** 2)
-    return Sphere(center=center, radius=radius, lam=lam1, general_form=form)
+    return Sphere(center=center, radius=radius)

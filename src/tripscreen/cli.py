@@ -52,16 +52,12 @@ class RunConfig:
             raise ValueError("k must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must lie in (0, 1)")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ValueError("subsample fraction must lie in (0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.bound not in BOUND_CHOICES:
-            raise ValueError(f"bound must be one of {BOUND_CHOICES}")
-        if self.rule not in RULE_CHOICES:
-            raise ValueError(f"rule must be one of {RULE_CHOICES}")
+        # The path and solver settings are checked by their own configs.
+        self.path_config()
 
     def path_config(self) -> PathConfig:
         solve_cfg = SolveConfig(
@@ -75,7 +71,9 @@ class RunConfig:
 
 def read_config_file(path) -> dict:
     """Plain-text configuration: one ``key = value`` pair per line,
-    ``#`` starts a comment."""
+    ``#`` starts a comment.  Keys are ``RunConfig`` field names, with ``-``
+    accepted for ``_``."""
+    known = {f.name for f in fields(RunConfig)}
     out = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -85,7 +83,10 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (tok.strip() for tok in line.split("=", 1))
-            out[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            if key not in known:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            out[key] = value
     return out
 
 

@@ -38,15 +38,6 @@ def check_symmetric(a, name: str = "matrix") -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def frob_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius inner product sum_ij A_ij B_ij."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.vdot(a, b))
-
-
 def eig_sym(a) -> EigDecomp:
     """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
     a = check_symmetric(a)

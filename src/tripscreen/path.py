@@ -24,7 +24,6 @@ class PathConfig:
     solve: SolveConfig = field(default_factory=SolveConfig)
     use_range_screening: bool = False
     max_steps: int = 1000
-    abort_on_failure: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.decay < 1.0:
@@ -57,7 +56,7 @@ class PathResult:
         return np.array([r.lam for r in self.records])
 
 
-def lambda_max(problem: MetricProblem, return_certificate: bool = False):
+def lambda_max(problem: MetricProblem) -> float:
     """Smallest regularization above which the all-ones dual weights are
     optimal, so no triplet sits in the zero part.
 
@@ -74,10 +73,9 @@ def lambda_max(problem: MetricProblem, return_certificate: bool = False):
     s = problem.sum_h()
     s_plus, _ = cone_split(s)
     if float(np.vdot(s_plus, s_plus)) == 0.0:
-        return (1.0, None) if return_certificate else 1.0
+        return 1.0
     vals = problem.inner(s_plus)
-    lam = float(vals.max()) / (1.0 - gamma)
-    return (lam, s_plus) if return_certificate else lam
+    return float(vals.max()) / (1.0 - gamma)
 
 
 def loss_term(problem: MetricProblem, m: np.ndarray) -> float:
@@ -155,17 +153,17 @@ def run_path(problem: MetricProblem, config: PathConfig,
                 scale = (lam_prev + lam) / (2.0 * lam)
                 full_cache = np.empty(m_triplets)
                 full_cache[unknown] = inner_prev * scale
-                if sc.bound == "relaxed-path+projected-gradient":
+                with_pgb = sc.bound == "relaxed-path+projected-gradient"
+                if with_pgb or sc.rule == "linear":
                     grad_prev = problem.gradient(m_prev, lam)
+                if with_pgb:
                     spheres.append(projected_gradient_bound(
                         gradient_bound(m_prev, grad_prev, lam)))
                 if sc.rule == "linear":
-                    grad_prev = problem.gradient(m_prev, lam)
                     halfspace = halfspace_from_iterate(
                         m_prev - (1.0 / lam) * grad_prev)
                 screen_all(problem, spheres, statuses, rule=sc.rule,
-                           halfspace=halfspace, budget=sc.psd_rule_budget,
-                           inner_cache=full_cache)
+                           halfspace=halfspace, inner_cache=full_cache)
                 if ranges is not None:
                     # Fresh intervals from the newest reference for the
                     # triplets just evaluated; range-hit ones keep theirs.
@@ -176,11 +174,6 @@ def run_path(problem: MetricProblem, config: PathConfig,
         t_screen = time.perf_counter() - t_screen
 
         result = solve(problem, lam, sc, m0=m_prev, statuses=statuses)
-        if not result.converged and config.abort_on_failure:
-            records.append(_record(problem, lam, result, path_lower,
-                                   path_upper, range_hits, t_screen))
-            break
-
         rec = _record(problem, lam, result, path_lower, path_upper,
                       range_hits, t_screen)
         records.append(rec)

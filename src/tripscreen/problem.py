@@ -287,52 +287,39 @@ class MetricProblem:
 
     # -- primal side -------------------------------------------------------
 
-    def primal_value(self, m: np.ndarray, lam: float,
-                     inner: Optional[np.ndarray] = None) -> float:
+    def primal_value(self, m: np.ndarray, lam: float) -> float:
         if lam <= 0:
             raise ValueError("lam must be positive")
-        x = self.inner(m) if inner is None else inner
+        x = self.inner(m)
         reg = 0.5 * lam * float(np.vdot(m, m))
         return float(np.sum(self.loss.value(x))) + reg
 
-    def gradient(self, m: np.ndarray, lam: float,
-                 inner: Optional[np.ndarray] = None) -> np.ndarray:
+    def gradient(self, m: np.ndarray, lam: float) -> np.ndarray:
         if lam <= 0:
             raise ValueError("lam must be positive")
-        x = self.inner(m) if inner is None else inner
-        g = self.loss.grad(x)
+        g = self.loss.grad(self.inner(m))
         return self.accumulate(g) + lam * m
-
-    def subgradient_sum(self, alpha: np.ndarray) -> np.ndarray:
-        """Loss-term subgradient sum for an explicit dual weight vector:
-        Xi = -sum_t alpha_t H_t, so that Xi + lam*M is a full subgradient
-        whenever alpha_t is a valid subgradient choice at <H_t, M>."""
-        return -self.accumulate(np.asarray(alpha, dtype=float))
 
     # -- dual side ----------------------------------------------------------
 
     def alpha_from_inner(self, inner: np.ndarray) -> np.ndarray:
         return -self.loss.grad(inner)
 
-    def m_of_alpha(self, alpha: np.ndarray, lam: float,
-                   sum_ah: Optional[np.ndarray] = None) -> np.ndarray:
+    def m_of_alpha(self, alpha: np.ndarray, lam: float) -> np.ndarray:
         """Primal candidate induced by a dual vector: (1/lam) [sum alpha H]_+."""
         if lam <= 0:
             raise ValueError("lam must be positive")
-        s = self.accumulate(np.asarray(alpha, dtype=float)) if sum_ah is None else sum_ah
-        plus, _ = cone_split(s)
+        plus, _ = cone_split(self.accumulate(np.asarray(alpha, dtype=float)))
         return plus / lam
 
-    def dual_value(self, alpha: np.ndarray, lam: float,
-                   sum_ah_plus: Optional[np.ndarray] = None) -> float:
+    def dual_value(self, alpha: np.ndarray, lam: float) -> float:
         if lam <= 0:
             raise ValueError("lam must be positive")
         alpha = np.asarray(alpha, dtype=float)
         if alpha.min() < -1e-12 or alpha.max() > 1.0 + 1e-12:
             raise ValueError("alpha is not dual feasible (outside [0, 1])")
         alpha = np.clip(alpha, 0.0, 1.0)
-        if sum_ah_plus is None:
-            sum_ah_plus, _ = cone_split(self.accumulate(alpha))
+        sum_ah_plus, _ = cone_split(self.accumulate(alpha))
         quad = float(np.vdot(sum_ah_plus, sum_ah_plus)) / lam
         return float(-0.5 * self.loss.gamma * alpha @ alpha + alpha.sum() - 0.5 * quad)
 

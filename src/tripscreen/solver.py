@@ -10,17 +10,17 @@ over the unknown triplets only, so a checkpoint gets cheaper as screening
 proceeds.  The checkpoint then rebuilds the configured sphere from the
 current iterate, re-screens the unknown triplets, and tests termination.
 
-``gap``, ``primal`` and ``dual`` in a ``SolveResult`` refer to the reduced
-objective.  A solve ends converged once the gap reaches ``gap_tol``; it ends
-unconverged at ``max_iter``, or flagged ``stalled`` once its best gap has not
-fallen for ``STALL_CHECKPOINTS`` checkpoints in a row.
+``gap`` in a ``SolveResult`` refers to the reduced objective.  A solve ends
+converged once the gap reaches ``gap_tol``; it ends unconverged at
+``max_iter``, or flagged ``stalled`` once its best gap has not fallen for
+``STALL_CHECKPOINTS`` checkpoints in a row.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -29,7 +29,7 @@ from . import bounds as sb
 from .problem import MetricProblem, Pins, TripletStatus
 from .rules import halfspace_from_iterate, screen_all
 
-BOUND_CHOICES = ("none", "gradient", "projected-gradient", "gap", "dual-gap",
+BOUND_CHOICES = ("none", "gradient", "projected-gradient", "dual-gap",
                  "relaxed-path", "relaxed-path+projected-gradient")
 RULE_CHOICES = ("sphere", "linear", "psd", "nonneg")
 # A solve whose best gap has not fallen over this many checkpoints in a row
@@ -37,6 +37,10 @@ RULE_CHOICES = ("sphere", "linear", "psd", "nonneg")
 # Spectral steps are not monotone: converging solves of the test suite went
 # up to 322 checkpoints without a new best gap.
 STALL_CHECKPOINTS = 1000
+# Triplets within this distance above the zero-loss threshold stay in the
+# working set so that spectral-step overshoot cannot strand the iterate
+# in a region where the stale working set provides no loss gradient.
+ACTIVE_MARGIN = 0.5
 
 
 @dataclass
@@ -47,11 +51,6 @@ class SolveConfig:
     bound: str = "none"
     rule: str = "sphere"
     active_set: bool = False
-    psd_rule_budget: int = 30
-    # Triplets within this distance above the zero-loss threshold stay in the
-    # working set so that spectral-step overshoot cannot strand the iterate
-    # in a region where the stale working set provides no loss gradient.
-    active_margin: float = 0.5
 
     def __post_init__(self):
         if self.gap_tol <= 0:
@@ -77,17 +76,17 @@ class ScreenEvent:
 class SolveResult:
     """Outcome of one solve.
 
-    ``gap``, ``primal`` and ``dual`` belong to the reduced objective at the
-    returned metric: the screened triplets pinned to their certified piece
-    of the loss (see ``bounds.gap``).  Its gap ball contains the optimum of
-    the full problem whenever the verdicts are safe.  ``dual`` is
-    ``primal - gap``.  ``loss_sum`` is the loss part of the reduced primal,
-    which equals the full loss wherever the verdicts hold at the metric, and
-    ``n_boundary`` counts the unknown triplets on the quadratic piece of the
-    loss there.  ``alpha`` holds one dual weight per triplet: 1 and 0 on
-    screened ones, read from the loss on the others.  ``stalled`` flags a
-    solve that gave up because its best gap stopped falling (rounding sets
-    a floor under any gap); it then has ``converged`` False.
+    ``gap`` belongs to the reduced objective at the returned metric: the
+    screened triplets pinned to their certified piece of the loss (see
+    ``bounds.gap``).  Its gap ball contains the optimum of the full problem
+    whenever the verdicts are safe.  ``loss_sum`` is the loss part of the
+    reduced primal, which equals the full loss wherever the verdicts hold at
+    the metric, and ``n_boundary`` counts the unknown triplets on the
+    quadratic piece of the loss there.  ``alpha`` holds one dual weight per
+    triplet: 1 and 0 on screened ones, read from the loss on the others.
+    ``stalled`` flags a solve that gave up because its best gap stopped
+    falling (rounding sets a floor under any gap); it then has ``converged``
+    False.
     """
 
     metric: np.ndarray
@@ -99,8 +98,6 @@ class SolveResult:
     wall_time: float
     screen_time: float
     converged: bool
-    primal: float
-    dual: float
     loss_sum: float
     n_boundary: int
     stalled: bool = False
@@ -146,13 +143,23 @@ def _build_spheres(problem, lam, config, m, cert, pins):
     # A relaxed-path sphere anchored at the current lambda degenerates to
     # the gap ball around the iterate.
     radius = math.sqrt(2.0 * cert.value / lam)
-    spheres.insert(0, sb.Sphere(center=m, radius=radius, lam=lam))
+    spheres.insert(0, sb.Sphere(center=m, radius=radius))
     return spheres
 
 
-def _solve_loop(problem: MetricProblem, lam: float, config: SolveConfig,
-                m0: Optional[np.ndarray], statuses: Optional[np.ndarray],
-                active_mode: bool) -> SolveResult:
+def solve(problem: MetricProblem, lam: float, config: SolveConfig,
+          m0: Optional[np.ndarray] = None,
+          statuses: Optional[np.ndarray] = None) -> SolveResult:
+    """Projected gradient descent on the screening-reduced objective.
+
+    ``statuses`` pins the triplets already screened.  With
+    ``config.active_set`` the gradients between checkpoints use only the
+    working set of triplets whose loss was positive (or within
+    ``ACTIVE_MARGIN`` of the threshold) at the latest refresh; screened
+    triplets never enter it.  Each checkpoint rescans the unknown triplets,
+    pulling violated ones back in, and certifies optimality through the
+    duality gap of the reduced objective.
+    """
     if lam <= 0:
         raise ValueError("lam must be positive")
     t0 = time.perf_counter()
@@ -229,7 +236,6 @@ def _solve_loop(problem: MetricProblem, lam: float, config: SolveConfig,
                 cache = x_at_m if spheres and spheres[0].center is m else None
                 counts = screen_all(problem, spheres, pins.statuses,
                                     rule=config.rule, halfspace=halfspace,
-                                    budget=config.psd_rule_budget,
                                     inner_cache=cache)
                 if counts.new_lower or counts.new_upper:
                     pins.absorb(before_lower)
@@ -242,13 +248,13 @@ def _solve_loop(problem: MetricProblem, lam: float, config: SolveConfig,
                                           new_upper=counts.new_upper,
                                           remaining=counts.remaining))
                 screen_time += time.perf_counter() - ts
-            if active_mode:
+            if config.active_set:
                 # Grow-only scan: pull in every unknown triplet with positive
                 # (or near-threshold) loss.  Dropping satisfied triplets
                 # mid-solve invites limit cycles, so the set only shrinks by
                 # screening or by re-initialization at the next warm start.
                 live = pins.unknown
-                wanted = live[x_at_m[live] < 1.0 + config.active_margin]
+                wanted = live[x_at_m[live] < 1.0 + ACTIVE_MARGIN]
                 new_active = np.union1d(
                     np.intersect1d(active, live, assume_unique=True), wanted)
                 if not np.array_equal(new_active, active):
@@ -263,7 +269,7 @@ def _solve_loop(problem: MetricProblem, lam: float, config: SolveConfig,
         if it >= config.max_iter:
             break
 
-        work = active if active_mode else pins.unknown
+        work = active if config.active_set else pins.unknown
 
         def reduced_grad(point):
             if work.size:
@@ -290,7 +296,8 @@ def _solve_loop(problem: MetricProblem, lam: float, config: SolveConfig,
                 step = min(step, 1.0 / max(curv, lam))
         prev_m, prev_grad = m, grad
         m_new = problem.project(m - step * grad)
-        if active_mode and it % config.screen_every != config.screen_every - 1:
+        if (config.active_set
+                and it % config.screen_every != config.screen_every - 1):
             # Stalled inner iteration: the working-set subproblem is done, so
             # rescan the unknowns now instead of waiting for the checkpoint.
             moved = float(np.linalg.norm(m_new - m))
@@ -309,34 +316,6 @@ def _solve_loop(problem: MetricProblem, lam: float, config: SolveConfig,
                        statuses=pins.statuses, screening_log=events,
                        wall_time=time.perf_counter() - t0,
                        screen_time=screen_time, converged=converged,
-                       primal=primal, dual=primal - cert.value,
                        loss_sum=cert.loss_sum, n_boundary=n_boundary,
                        stalled=stalled)
 
-
-def pgd_solve(problem: MetricProblem, lam: float, config: SolveConfig,
-              m0: Optional[np.ndarray] = None,
-              statuses: Optional[np.ndarray] = None) -> SolveResult:
-    """Projected gradient descent on the screening-reduced objective."""
-    return _solve_loop(problem, lam, config, m0, statuses, active_mode=False)
-
-
-def active_set_solve(problem: MetricProblem, lam: float, config: SolveConfig,
-                     m0: Optional[np.ndarray] = None,
-                     statuses: Optional[np.ndarray] = None) -> SolveResult:
-    """Projected gradient descent over the positive-loss working set.
-
-    Gradients between checkpoints use only triplets whose loss was positive
-    at the latest refresh (screened triplets never enter the scan); each
-    checkpoint rescans the unknown triplets, pulling violated ones back in,
-    and certifies optimality through the full duality gap.
-    """
-    return _solve_loop(problem, lam, config, m0, statuses, active_mode=True)
-
-
-def solve(problem: MetricProblem, lam: float, config: SolveConfig,
-          m0: Optional[np.ndarray] = None,
-          statuses: Optional[np.ndarray] = None) -> SolveResult:
-    if config.active_set:
-        return active_set_solve(problem, lam, config, m0, statuses)
-    return pgd_solve(problem, lam, config, m0, statuses)

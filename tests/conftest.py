@@ -11,8 +11,8 @@ import pytest
 
 from tripscreen import (MetricProblem, SmoothedHingeLoss, SolveConfig,
                         TripletSet, TripletStatus, build_triplets,
-                        gaussian_blobs, lambda_ranges_all, pgd_solve,
-                        relaxed_path_bound, screen_all)
+                        gaussian_blobs, lambda_ranges_all, relaxed_path_bound,
+                        screen_all, solve)
 
 
 def dense_h(u, v) -> np.ndarray:
@@ -85,8 +85,8 @@ def random_instance(seed, n_lo=20, n_hi=60, d_lo=2, d_hi=5, classes=(2, 3),
 
 def solve_oracle(problem, lam, tol=1e-12, max_iter=400_000):
     """High-accuracy solve whose duality gap certifies the result."""
-    res = pgd_solve(problem, lam, SolveConfig(gap_tol=min(tol, 1e-13),
-                                              max_iter=max_iter))
+    res = solve(problem, lam, SolveConfig(gap_tol=min(tol, 1e-13),
+                                          max_iter=max_iter))
     assert res.gap <= tol, f"oracle solve stuck at gap {res.gap:.3e}"
     return res
 
@@ -94,7 +94,7 @@ def solve_oracle(problem, lam, tol=1e-12, max_iter=400_000):
 def reference_at(problem, lam, gap_level, m0=None):
     """Iterate until the duality gap first crosses ``gap_level``."""
     cfg = SolveConfig(gap_tol=gap_level, max_iter=400_000, screen_every=1)
-    res = pgd_solve(problem, lam, cfg, m0=m0)
+    res = solve(problem, lam, cfg, m0=m0)
     assert res.converged
     return res
 

@@ -14,8 +14,8 @@ from tripscreen import (MetricProblem, PathConfig, SmoothedHingeLoss,
                         SolveConfig, Sphere, TripletStatus, build_triplets,
                         dual_gap_bound, gap_bound, gaussian_blobs,
                         gradient_bound, halfspace_from_iterate, lambda_max,
-                        path_bound, pgd_solve, projected_gradient_bound,
-                        relaxed_path_bound, run_path, screen_all)
+                        path_bound, projected_gradient_bound,
+                        relaxed_path_bound, run_path, screen_all, solve)
 from tripscreen.rules import _halfspace_min, _orthant_min
 from conftest import (check_lambda_ranges, dense_h, finite_diff_gradient,
                       grid_p2_cone_distance, grid_p2_extremes, kkt_reference,
@@ -38,15 +38,15 @@ def chained_references(problem, lam, levels=GAP_LEVELS, final_tol=1e-12):
     refs = {}
     m0 = None
     for level in levels:
-        res = pgd_solve(problem, lam,
-                        SolveConfig(gap_tol=level, max_iter=400_000,
-                                    screen_every=1), m0=m0)
+        res = solve(problem, lam,
+                    SolveConfig(gap_tol=level, max_iter=400_000,
+                                screen_every=1), m0=m0)
         assert res.converged
         refs[level] = res
         m0 = res.metric
-    oracle = pgd_solve(problem, lam,
-                       SolveConfig(gap_tol=min(final_tol, 1e-13),
-                                   max_iter=400_000), m0=m0)
+    oracle = solve(problem, lam,
+                   SolveConfig(gap_tol=min(final_tol, 1e-13),
+                               max_iter=400_000), m0=m0)
     assert oracle.gap <= final_tol
     return refs, oracle
 
@@ -184,7 +184,7 @@ def test_criterion_03_gap_vs_path_bound(optimal_reference_cases):
 def test_criterion_04_projected_bound_vs_path_bound(optimal_reference_cases):
     worst = 0.0
     for prob, lam0, m0, alpha0 in optimal_reference_cases:
-        xi = prob.subgradient_sum(alpha0)
+        xi = -prob.accumulate(alpha0)
         for ratio in (0.9, 0.8):
             lam1 = ratio * lam0
             rpb = path_bound(m0, lam0, lam1)

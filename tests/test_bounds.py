@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tripscreen import (Sphere, SolveConfig, TripletStatus, dual_gap_bound,
                         gap_bound, gradient_bound, loss_term, path_bound,
-                        pgd_solve, projected_gradient_bound, psd_split,
+                        projected_gradient_bound, psd_split,
                         relaxed_path_bound)
 from tripscreen.bounds import gap
 from conftest import kkt_reference, random_instance, reference_at, solve_oracle
@@ -41,27 +41,16 @@ class TestGradientBound:
         s = gradient_bound(ref.metric, grad, lam)
         assert np.linalg.norm(star - s.center) <= s.radius + 1e-9
 
-    def test_general_form_reproduces_sphere(self, small_problem):
-        prob = small_problem
-        lam = mid_lambda(prob)
-        ref = reference_at(prob, lam, 1e-2)
-        grad = prob.gradient(ref.metric, lam)
-        s = gradient_bound(ref.metric, grad, lam)
-        form = s.general_form
-        assert np.allclose(form.center_at(lam), s.center, rtol=1e-9, atol=1e-12)
-        assert np.isclose(form.radius_sq_at(lam), s.radius ** 2,
-                          rtol=1e-9, atol=1e-15)
-
 
 class TestProjectedGradientBound:
     def test_diagonal_split_arithmetic(self):
-        base = Sphere(center=np.diag([1.0, -1.0]), radius=np.sqrt(3.0), lam=1.0)
+        base = Sphere(center=np.diag([1.0, -1.0]), radius=np.sqrt(3.0))
         s = projected_gradient_bound(base)
         assert np.allclose(s.center, np.diag([1.0, 0.0]))
         assert np.isclose(s.radius ** 2, 2.0)
 
     def test_psd_center_unchanged(self):
-        base = Sphere(center=np.diag([1.0, 2.0]), radius=0.5, lam=1.0)
+        base = Sphere(center=np.diag([1.0, 2.0]), radius=0.5)
         s = projected_gradient_bound(base)
         assert np.allclose(s.center, base.center)
         assert np.isclose(s.radius, base.radius)
@@ -79,12 +68,12 @@ class TestProjectedGradientBound:
         prob = small_problem
         lam = mid_lambda(prob)
         m0, alpha0 = kkt_reference(prob, lam)
-        grad = prob.subgradient_sum(alpha0) + lam * m0
+        grad = -prob.accumulate(alpha0) + lam * m0
         pgb = projected_gradient_bound(gradient_bound(m0, grad, lam))
         assert pgb.radius <= 1e-6
 
     def test_negative_radius_clamped(self):
-        base = Sphere(center=np.diag([1.0, -5.0]), radius=0.1, lam=1.0)
+        base = Sphere(center=np.diag([1.0, -5.0]), radius=0.1)
         s = projected_gradient_bound(base)
         assert s.radius == 0.0
         assert s.radius_clamped
@@ -172,16 +161,6 @@ class TestGapBound:
             s = gap_bound(prob, ref.metric, alpha, lam)
             assert np.linalg.norm(star - s.center) <= s.radius + 1e-9
 
-    def test_general_form(self, small_problem):
-        prob = small_problem
-        lam = mid_lambda(prob)
-        ref = reference_at(prob, lam, 1e-2)
-        alpha = prob.alpha_from_inner(prob.inner(ref.metric))
-        s = gap_bound(prob, ref.metric, alpha, lam)
-        form = s.general_form
-        assert np.allclose(form.center_at(lam), s.center)
-        assert np.isclose(form.radius_sq_at(lam), s.radius ** 2, rtol=1e-9)
-
 
 class TestDualGapBound:
     def test_zero_at_optimal_alpha(self, small_problem):
@@ -247,18 +226,11 @@ class TestPathBound:
         lam1 = 0.85 * lam0
         m0, alpha0 = kkt_reference(prob, lam0)
         rpb = path_bound(m0, lam0, lam1)
-        grad = prob.subgradient_sum(alpha0) + lam1 * m0
+        grad = -prob.accumulate(alpha0) + lam1 * m0
         pgb = projected_gradient_bound(gradient_bound(m0, grad, lam1))
         scale = max(np.linalg.norm(rpb.center), 1e-12)
         assert np.linalg.norm(pgb.center - rpb.center) <= 1e-9 * scale
         assert abs(pgb.radius - rpb.radius) <= 1e-9 * max(rpb.radius, 1e-12)
-
-    def test_general_form(self):
-        m = np.diag([1.0, 0.5])
-        s = path_bound(m, 2.0, 1.7)
-        form = s.general_form
-        assert np.allclose(form.center_at(1.7), s.center)
-        assert np.isclose(form.radius_sq_at(1.7), s.radius ** 2, rtol=1e-12)
 
 
 class TestRelaxedPathBound:
@@ -285,14 +257,6 @@ class TestRelaxedPathBound:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             relaxed_path_bound(np.eye(2), -0.1, 1.0, 0.9)
-
-    def test_general_form_both_branches(self):
-        m = np.diag([0.4, 0.9])
-        for lam1 in (0.7, 1.0, 1.6):
-            s = relaxed_path_bound(m, 0.02, 1.0, lam1)
-            form = s.general_form
-            assert np.allclose(form.center_at(lam1), s.center, rtol=1e-12)
-            assert np.isclose(form.radius_sq_at(lam1), s.radius ** 2, rtol=1e-9)
 
     def test_contains_next_optimum(self, small_problem):
         prob = small_problem

@@ -203,6 +203,20 @@ class TestCli:
     def test_missing_data_is_usage_error(self):
         assert main(["--k", "3"]) == 2
 
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("data = x.csv\ngamam = 0.1\n")
+        assert main(["--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {conf}:2: unknown key 'gamam'" in err
+
+    @pytest.mark.parametrize("flag", ["--gap-tol", "--screen-every",
+                                      "--stop-threshold"])
+    def test_zero_solver_setting_is_usage_error(self, tmp_path, flag):
+        out = tmp_path / "out"
+        assert main(["--data", "x.csv", flag, "0", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(data="x", k=0)

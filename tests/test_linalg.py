@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripscreen import (check_symmetric, cone_split, eig_sym, frob_inner,
-                        psd_split)
+from tripscreen import check_symmetric, cone_split, eig_sym, psd_split
 
 
 def random_sym(rng, d, scale=1.0):
@@ -109,7 +108,7 @@ class TestPsdSplit:
         s = psd_split(a)
         norm = max(1.0, np.linalg.norm(a))
         assert np.linalg.norm(s.plus + s.minus - a) <= 1e-9 * norm
-        assert abs(frob_inner(s.plus, s.minus)) <= 1e-9 * max(
+        assert abs(np.vdot(s.plus, s.minus)) <= 1e-9 * max(
             1.0, np.linalg.norm(s.plus) * np.linalg.norm(s.minus))
         assert eig_sym(s.plus).values.min() >= -1e-9 * norm
         assert eig_sym(s.minus).values.max() <= 1e-9 * norm
@@ -123,26 +122,9 @@ class TestConeSplit:
 
 
 class TestFrobInner:
-    def test_identity(self):
-        assert frob_inner(np.eye(3), np.eye(3)) == 3.0
-
-    def test_zero(self):
-        rng = np.random.default_rng(8)
-        a = random_sym(rng, 4)
-        assert frob_inner(a, np.zeros((4, 4))) == 0.0
-
     def test_split_orthogonality(self):
         rng = np.random.default_rng(9)
         a = random_sym(rng, 5, scale=3.0)
         s = psd_split(a)
         tol = 1e-9 * max(1.0, np.linalg.norm(s.plus) * np.linalg.norm(s.minus))
-        assert abs(frob_inner(s.plus, s.minus)) <= tol
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            frob_inner(np.eye(2), np.eye(3))
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(10)
-        a, b = random_sym(rng, 4), random_sym(rng, 4)
-        assert frob_inner(a, b) == frob_inner(b, a)
+        assert abs(np.vdot(s.plus, s.minus)) <= tol

@@ -3,8 +3,8 @@ import pytest
 
 from tripscreen import (Dataset, MetricProblem, PathConfig, SmoothedHingeLoss,
                         SolveConfig, TripletStatus, build_triplets,
-                        gaussian_blobs, lambda_max, loss_term, pgd_solve,
-                        psd_split, run_path)
+                        gaussian_blobs, lambda_max, loss_term, psd_split,
+                        run_path, solve)
 from conftest import solve_oracle
 
 
@@ -31,7 +31,7 @@ class TestLambdaMax:
     def test_all_linear_certificate_above_threshold(self, small_problem):
         prob = small_problem
         lam = 2.0 * lambda_max(prob)
-        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-10, max_iter=50_000))
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-10, max_iter=50_000))
         part = prob.categorize(res.metric)
         assert part.upper.size == 0
         assert np.allclose(prob.alpha_from_inner(prob.inner(res.metric)), 1.0)
@@ -89,7 +89,8 @@ class TestRunPath:
             else:
                 assert ratio < cfg.stop_threshold
 
-    def test_screening_on_equals_off(self):
+    @pytest.mark.parametrize("rule", ["sphere", "linear", "psd"])
+    def test_screening_on_equals_off(self, rule):
         prob = gaussian_problem(seed=2)
         # the gap tolerance controls how far each run can sit from the true
         # optimum; 1e-11 keeps both within a fraction of the 1e-6 budget
@@ -97,7 +98,7 @@ class TestRunPath:
             gap_tol=1e-11, max_iter=200_000, bound="none"))
         scr = PathConfig(decay=0.9, solve=SolveConfig(
             gap_tol=1e-11, max_iter=200_000,
-            bound="relaxed-path+projected-gradient", rule="sphere"))
+            bound="relaxed-path+projected-gradient", rule=rule))
         out_base = run_path(prob, base)
         out_scr = run_path(prob, scr)
         assert len(out_base.records) == len(out_scr.records)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from tripscreen import (Dataset, MetricProblem, SmoothedHingeLoss,
-                        SolveConfig, TripletStatus, active_set_solve, bb_step,
-                        build_triplets, gaussian_blobs, lambda_max, loss_term,
-                        pgd_solve, psd_split, solve)
+                        SolveConfig, TripletStatus, bb_step, build_triplets,
+                        gaussian_blobs, lambda_max, loss_term, psd_split,
+                        solve)
 from tripscreen.bounds import gap
 from conftest import random_instance, solve_oracle
 
@@ -49,7 +49,7 @@ class TestPgdSolve:
     def test_all_linear_regime_closed_form(self, small_problem):
         prob = small_problem
         lam = 2.0 * lambda_max(prob)
-        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-10, max_iter=50_000))
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-10, max_iter=50_000))
         expect = psd_split(prob.sum_h()).plus / lam
         assert res.converged
         assert np.linalg.norm(res.metric - expect) <= 1e-6
@@ -63,7 +63,7 @@ class TestPgdSolve:
         count = prob.n_triplets
         lam_knee = count * h ** 2 / (1.0 - gamma)
         for lam in (2.0 * lam_knee, 0.3 * lam_knee):
-            res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-12, max_iter=50_000))
+            res = solve(prob, lam, SolveConfig(gap_tol=1e-12, max_iter=50_000))
             if lam >= lam_knee:
                 expect = count * h / lam          # linear part: alpha = 1
             else:
@@ -73,8 +73,8 @@ class TestPgdSolve:
     def test_screening_does_not_change_optimum(self, small_problem):
         prob = small_problem
         lam = 0.03 * lambda_max(prob)
-        plain = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000))
-        screened = pgd_solve(prob, lam, SolveConfig(
+        plain = solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000))
+        screened = solve(prob, lam, SolveConfig(
             gap_tol=1e-9, max_iter=50_000,
             bound="relaxed-path+projected-gradient", rule="sphere"))
         assert np.linalg.norm(plain.metric - screened.metric) <= 1e-6
@@ -82,22 +82,23 @@ class TestPgdSolve:
 
     @pytest.mark.parametrize("bound,rule", [
         ("gradient", "sphere"), ("projected-gradient", "sphere"),
-        ("gap", "sphere"), ("dual-gap", "sphere"), ("relaxed-path", "sphere"),
-        ("gap", "linear"), ("gap", "psd")])
+        ("dual-gap", "sphere"), ("relaxed-path", "sphere"),
+        ("relaxed-path", "linear"), ("relaxed-path", "psd")])
     def test_screened_solves_match_across_configs(self, bound, rule):
         prob = random_instance(seed=50, n_lo=25, n_hi=25, d_lo=3, d_hi=3)
         lam = 0.05 * lambda_max(prob)
-        base = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000))
-        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000,
-                                               bound=bound, rule=rule))
+        base = solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000))
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000,
+                                           bound=bound, rule=rule))
         assert res.converged
         assert np.linalg.norm(base.metric - res.metric) <= 1e-6
 
     def test_reports_loss_and_boundary_of_returned_metric(self, small_problem):
         prob = small_problem
         lam = 0.03 * lambda_max(prob)
-        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000,
-                                               bound="gap", rule="sphere"))
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000,
+                                           bound="relaxed-path",
+                                           rule="sphere"))
         assert res.n_lower + res.n_upper > 0
         assert np.isclose(res.loss_sum, loss_term(prob, res.metric),
                           rtol=1e-9)
@@ -108,8 +109,9 @@ class TestPgdSolve:
         lam = 0.03 * lambda_max(prob)
         star = solve_oracle(prob, lam).metric
         part = prob.categorize(star)
-        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-8, max_iter=50_000,
-                                               bound="gap", rule="sphere"))
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-8, max_iter=50_000,
+                                           bound="relaxed-path",
+                                           rule="sphere"))
         lower = np.flatnonzero(res.statuses == TripletStatus.LOWER)
         upper = np.flatnonzero(res.statuses == TripletStatus.UPPER)
         assert np.isin(lower, part.lower).all()
@@ -118,20 +120,20 @@ class TestPgdSolve:
     def test_result_metric_in_cone(self, small_problem):
         prob = small_problem
         lam = 0.1 * lambda_max(prob)
-        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-8))
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-8))
         vals = np.linalg.eigvalsh(res.metric)
         assert vals.min() >= -1e-9 * max(1.0, np.linalg.norm(res.metric))
 
     def test_gap_reported_nonnegative_and_below_tol(self, small_problem):
         prob = small_problem
         lam = 0.07 * lambda_max(prob)
-        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-7))
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-7))
         assert res.converged and -1e-12 <= res.gap <= 1e-7
 
     def test_max_iter_exhaustion_flagged(self, small_problem):
         prob = small_problem
         lam = 0.03 * lambda_max(prob)
-        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-30, max_iter=7))
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-30, max_iter=7))
         assert not res.converged and not res.stalled
         assert res.iterations == 7
         assert res.metric.shape == (prob.dim, prob.dim)
@@ -144,8 +146,8 @@ class TestPgdSolve:
     def test_stall_below_rounding_floor_flagged(self, small_problem):
         prob = small_problem
         lam = 0.03 * lambda_max(prob)
-        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-40, max_iter=100_000,
-                                               screen_every=1))
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-40, max_iter=100_000,
+                                           screen_every=1))
         assert res.stalled and not res.converged
         assert res.iterations <= 10_000
         assert 0.0 <= res.gap <= 1e-20
@@ -160,7 +162,7 @@ class TestPgdSolve:
         prob = random_instance(seed=seeds[instance], n_lo=20, n_hi=50,
                                d_lo=2, d_hi=5, diagonal=instance % 4 == 3)
         lam = 0.3 * lambda_max(prob)
-        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-13, max_iter=10_000))
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-13, max_iter=10_000))
         assert res.converged
         assert res.iterations <= 1_000
 
@@ -168,7 +170,7 @@ class TestPgdSolve:
         prob = small_problem
         lam = 0.1 * lambda_max(prob)
         bad = np.diag(np.linspace(-1.0, 1.0, prob.dim))
-        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-7), m0=bad)
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-7), m0=bad)
         assert res.converged
 
     def test_prescreened_statuses_respected(self, small_problem):
@@ -179,8 +181,8 @@ class TestPgdSolve:
         statuses = np.zeros(prob.n_triplets, dtype=np.int8)
         statuses[part.lower[: len(part.lower) // 2]] = TripletStatus.LOWER
         statuses[part.upper[: len(part.upper) // 2]] = TripletStatus.UPPER
-        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000),
-                        statuses=statuses)
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000),
+                    statuses=statuses)
         assert np.linalg.norm(res.metric - star) <= 1e-6
         kept = statuses != TripletStatus.UNKNOWN
         assert np.array_equal(res.statuses[kept], statuses[kept])
@@ -188,12 +190,13 @@ class TestPgdSolve:
     def test_diagonal_mode(self):
         prob = random_instance(seed=51, diagonal=True)
         lam = 0.05 * lambda_max(prob)
-        res = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000))
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000))
         assert res.converged
         assert res.metric.ndim == 1
         assert res.metric.min() >= 0.0
-        screened = pgd_solve(prob, lam, SolveConfig(
-            gap_tol=1e-9, max_iter=50_000, bound="gap", rule="nonneg"))
+        screened = solve(prob, lam, SolveConfig(
+            gap_tol=1e-9, max_iter=50_000, bound="relaxed-path",
+            rule="nonneg"))
         assert np.linalg.norm(res.metric - screened.metric) <= 1e-6
 
 
@@ -202,18 +205,18 @@ class TestActiveSetSolve:
         for seed in (60, 61):
             prob = random_instance(seed=seed, n_lo=30, n_hi=30)
             lam = 0.05 * lambda_max(prob)
-            plain = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000))
-            active = active_set_solve(prob, lam,
-                                      SolveConfig(gap_tol=1e-9, max_iter=50_000))
+            plain = solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000))
+            active = solve(prob, lam, SolveConfig(
+                gap_tol=1e-9, max_iter=50_000, active_set=True))
             assert active.converged
             assert np.linalg.norm(plain.metric - active.metric) <= 1e-6
 
     def test_identical_when_all_triplets_active(self, small_problem):
         prob = small_problem
         lam = 1.2 * lambda_max(prob)  # everything stays in the linear part
-        cfg = SolveConfig(gap_tol=1e-10, max_iter=50_000)
-        plain = pgd_solve(prob, lam, cfg)
-        active = active_set_solve(prob, lam, cfg)
+        plain = solve(prob, lam, SolveConfig(gap_tol=1e-10, max_iter=50_000))
+        active = solve(prob, lam, SolveConfig(gap_tol=1e-10, max_iter=50_000,
+                                              active_set=True))
         # same gradient steps (working set == all), so the same iterates; the
         # stall detector may just certify the optimum a few iterations sooner
         assert active.iterations <= plain.iterations
@@ -222,7 +225,7 @@ class TestActiveSetSolve:
     def test_with_screening(self, small_problem):
         prob = small_problem
         lam = 0.03 * lambda_max(prob)
-        plain = pgd_solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000))
+        plain = solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000))
         cfg = SolveConfig(gap_tol=1e-9, max_iter=50_000, active_set=True,
                           bound="relaxed-path", rule="sphere")
         res = solve(prob, lam, cfg)
