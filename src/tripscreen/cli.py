@@ -21,7 +21,7 @@ from .solver import BOUND_CHOICES, RULE_CHOICES, SolveConfig
 PER_LAMBDA_COLUMNS = [
     "trial", "lambda", "iterations", "gap", "n_screened_L", "n_screened_R",
     "n_unknown", "rate_total", "rate_screenable", "range_hits",
-    "wall_time_solve", "wall_time_screen",
+    "wall_time_solve", "wall_time_screen", "converged",
 ]
 
 
@@ -188,6 +188,7 @@ def run(config: RunConfig) -> int:
                 "range_hits": rec.range_hits,
                 "wall_time_solve": rec.wall_time_solve,
                 "wall_time_screen": rec.wall_time_screen,
+                "converged": int(rec.result.converged),
             })
 
     _write_per_lambda(out_dir / "per_lambda.csv", rows)

@@ -122,8 +122,7 @@ def run_path(problem: MetricProblem, config: PathConfig,
     sc = config.solve
 
     # The closed-form optimum at lambda_max seeds the path.
-    s_plus = problem.m_of_alpha(np.ones(m_triplets), lam0) * lam0
-    m_prev = s_plus / lam0
+    m_prev = problem.m_of_alpha(np.ones(m_triplets), lam0)
     lam_prev = lam0
     prev_loss = None
     eps_prev = 0.0

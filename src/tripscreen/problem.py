@@ -294,11 +294,14 @@ class MetricProblem:
         reg = 0.5 * lam * float(np.vdot(m, m))
         return float(np.sum(self.loss.value(x))) + reg
 
-    def gradient(self, m: np.ndarray, lam: float) -> np.ndarray:
+    def gradient(self, m: np.ndarray, lam: float,
+                 idx: Optional[np.ndarray] = None) -> np.ndarray:
+        """Gradient of the loss over the triplets (restricted to ``idx``
+        when given) plus the regularizer's lam M."""
         if lam <= 0:
             raise ValueError("lam must be positive")
-        g = self.loss.grad(self.inner(m))
-        return self.accumulate(g) + lam * m
+        g = self.loss.grad(self.inner(m, idx))
+        return self.accumulate(g, idx) + lam * m
 
     # -- dual side ----------------------------------------------------------
 

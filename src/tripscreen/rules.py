@@ -12,7 +12,8 @@ Three rule families trade tightness against cost: the plain sphere rule
 (closed form), the linear rule (sphere + one supporting half-space, closed
 form), and the PSD rule (sphere + full semidefinite constraint, certified by
 dual ascent on a semidefinite least-squares subproblem).  Diagonal-mode
-metrics use the exact nonnegative-orthant rule instead.
+metrics use the exact nonnegative-orthant rule instead, certified by the
+best of closed-form Lagrange dual values (lower bounds by weak duality).
 
 The PSD rule's ascent costs one eigendecomposition per row and step.  When
 the sphere's center Q is PSD, its first step is settled in closed form from
@@ -83,44 +84,46 @@ def halfspace_from_iterate(a: np.ndarray) -> HalfSpace:
 # diagonal-mode rule (ball intersected with the nonnegative orthant, exact)
 # ---------------------------------------------------------------------------
 
-def _orthant_min(h: np.ndarray, q: np.ndarray, r: float) -> Optional[float]:
-    """Exact minimum of h.x over ||x - q|| <= r, x >= 0.
+def _orthant_min(h: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
+    """Minimum of h_t.x over ||x - q|| <= r, x >= 0 for each row h_t of
+    ``h``; NaN marks 'cannot certify'.
 
-    KKT interval enumeration over the breakpoints h_k / (2 q_k); None when
-    the intersection is (numerically) empty.
+    Every multiplier a >= 0 of the ball constraint gives a lower bound
+    (weak duality): phi(a) = h.x(a) + a (||x(a) - q||^2 - r^2) with
+    x(a) = [q - h / (2a)]_+, and phi(0) = 0 where h >= 0.  Between two
+    sorted breakpoints h_k / (2 q_k) the positive coordinates of x(a) are
+    fixed, so phi's stationary point there is a = sqrt(s_h / (r^2 - s_q))
+    in closed form.  The maximum of the concave phi is one of these d + 1
+    roots or a = 0, so the best candidate is the exact minimum, and a root
+    that falls outside its interval only yields a lower bound.  NaN where
+    the intersection is (numerically) empty or no candidate exists.
     """
     dist_out = float(np.linalg.norm(np.minimum(q, 0.0)))
     if dist_out > r * (1.0 + 1e-12) + 1e-15:
-        return None
+        return np.full(h.shape[0], np.nan)
     if r == 0.0:
-        return float(h @ np.maximum(q, 0.0))
+        return h @ np.maximum(q, 0.0)
 
-    if np.all(h >= 0.0):
-        # Objective minimized on the face {x_k = 0 wherever h_k > 0}.
-        face = np.where(h > 0.0, 0.0, np.maximum(q, 0.0))
-        if float(np.linalg.norm(face - q)) <= r:
-            return 0.0
-
-    pos = (np.abs(q) > 0.0)
-    bps = h[pos] / (2.0 * q[pos])
-    bps = np.unique(bps[bps > 0.0])
-    edges = np.concatenate([[0.0], bps, [np.inf]])
+    bps = np.divide(h, 2.0 * q, out=np.zeros_like(h), where=q != 0.0)
+    edges = np.pad(np.sort(np.maximum(bps, 0.0), axis=1), ((0, 0), (1, 1)),
+                   constant_values=(0.0, np.inf))
+    best = np.where(np.all(h >= 0.0, axis=1), 0.0, -np.inf)
     r2 = r * r
-    for k in range(len(edges) - 1):
-        lo, hi = edges[k], edges[k + 1]
-        mid = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-        if mid <= 0.0:
-            mid = 0.5 * hi if not math.isinf(hi) else 1.0
-        active = h - 2.0 * mid * q <= 0.0
-        s_h = float(np.sum(h[active] ** 2)) / 4.0
-        s_q = float(np.sum(q[~active] ** 2))
-        if r2 <= s_q or s_h == 0.0:
-            continue
-        alpha = math.sqrt(s_h / (r2 - s_q))
-        if lo - 1e-12 * max(1.0, lo) <= alpha <= hi * (1.0 + 1e-12):
-            x_act = q[active] - h[active] / (2.0 * alpha)
-            return float(h[active] @ x_act)
-    return None
+    h2 = h * h
+    q2 = q * q
+    for k in range(edges.shape[1] - 1):
+        lo, hi = edges[:, k], edges[:, k + 1]
+        mid = np.where(np.isinf(hi), lo + 1.0, 0.5 * (lo + hi))
+        active = h - 2.0 * mid[:, None] * q <= 0.0
+        s_h = np.sum(h2, axis=1, where=active) / 4.0
+        s_q = np.sum(np.where(active, 0.0, q2), axis=1)
+        ok = (r2 > s_q) & (s_h > 0.0)
+        a = np.sqrt(np.where(ok, s_h, 1.0) / np.where(ok, r2 - s_q, 1.0))
+        x = np.maximum(q - h / (2.0 * a[:, None]), 0.0)
+        phi = (np.einsum("kd,kd->k", h, x)
+               + a * (np.sum((x - q) ** 2, axis=1) - r2))
+        best = np.where(ok & (phi > best), phi, best)
+    return np.where(np.isinf(best), np.nan, best)
 
 
 # ---------------------------------------------------------------------------
@@ -469,22 +472,19 @@ def _sdls_chunk(problem, q, r, rows, c, qh, x0h, budget):
 
 
 def _nonneg_masks(problem, sphere, idx, qh=None):
+    """Sphere verdicts tightened by the exact orthant minimum of <X, H>,
+    then by that of -<X, H> on the open rows that did not fire UPPER."""
     if problem.h_diag is None:
         raise ValueError("nonneg rule requires a diagonal-mode problem")
     low, up, qh, hn = _sphere_masks(problem, sphere, idx, qh)
-    gamma = problem.loss.gamma
     q = sphere.center
     r = sphere.radius
-    undecided = np.flatnonzero(~(low | up))
-    for k in undecided:
-        h = problem.h_diag[idx[k]]
-        mn = _orthant_min(h, q, r)
-        if mn is not None and mn > 1.0:
-            up[k] = True
-            continue
-        neg = _orthant_min(-h, q, r)
-        if neg is not None and -neg < 1.0 - gamma:
-            low[k] = True
+    # NaN (cannot certify) fails both comparisons.
+    rows = np.flatnonzero(~(low | up))
+    up[rows] = _orthant_min(problem.h_diag[idx[rows]], q, r) > 1.0
+    rows = rows[~up[rows]]
+    low[rows] = (-_orthant_min(-problem.h_diag[idx[rows]], q, r)
+                 < 1.0 - problem.loss.gamma)
     return low, up
 
 

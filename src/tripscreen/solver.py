@@ -82,15 +82,12 @@ class SolveResult:
     whenever the verdicts are safe.  ``loss_sum`` is the loss part of the
     reduced primal, which equals the full loss wherever the verdicts hold at
     the metric, and ``n_boundary`` counts the unknown triplets on the
-    quadratic piece of the loss there.  ``alpha`` holds one dual weight per
-    triplet: 1 and 0 on screened ones, read from the loss on the others.
-    ``stalled`` flags a solve that gave up because its best gap stopped
-    falling (rounding sets a floor under any gap); it then has ``converged``
-    False.
+    quadratic piece of the loss there.  ``stalled`` flags a solve that gave
+    up because its best gap stopped falling (rounding sets a floor under any
+    gap); it then has ``converged`` False.
     """
 
     metric: np.ndarray
-    alpha: np.ndarray
     gap: float
     iterations: int
     statuses: np.ndarray
@@ -164,7 +161,6 @@ def solve(problem: MetricProblem, lam: float, config: SolveConfig,
         raise ValueError("lam must be positive")
     t0 = time.perf_counter()
     screen_time = 0.0
-    loss = problem.loss
 
     m = problem.project(np.asarray(m0, dtype=float)) if m0 is not None \
         else problem.zero_metric()
@@ -272,11 +268,7 @@ def solve(problem: MetricProblem, lam: float, config: SolveConfig,
         work = active if config.active_set else pins.unknown
 
         def reduced_grad(point):
-            if work.size:
-                g_loss = loss.grad(problem.inner(point, work))
-                return (problem.accumulate(g_loss, work) + lam * point
-                        - pins.sum_h_lower)
-            return lam * point - pins.sum_h_lower
+            return problem.gradient(point, lam, work) - pins.sum_h_lower
 
         grad = reduced_grad(m)
         if prev_m is not None:
@@ -307,12 +299,10 @@ def solve(problem: MetricProblem, lam: float, config: SolveConfig,
         it += 1
 
     # The loop always leaves at a checkpoint of the returned metric.
-    alpha = (pins.statuses == TripletStatus.LOWER).astype(float)
-    alpha[slice(None) if cert.rows is None else cert.rows] = cert.alpha
-    gamma = loss.gamma
+    gamma = problem.loss.gamma
     n_boundary = int(np.count_nonzero((cert.x >= 1.0 - gamma)
                                       & (cert.x <= 1.0)))
-    return SolveResult(metric=m, alpha=alpha, gap=cert.value, iterations=it,
+    return SolveResult(metric=m, gap=cert.value, iterations=it,
                        statuses=pins.statuses, screening_log=events,
                        wall_time=time.perf_counter() - t0,
                        screen_time=screen_time, converged=converged,

@@ -83,10 +83,11 @@ def random_instance(seed, n_lo=20, n_hi=60, d_lo=2, d_hi=5, classes=(2, 3),
     return MetricProblem(triplets, SmoothedHingeLoss(gamma), diagonal=diagonal)
 
 
-def solve_oracle(problem, lam, tol=1e-12, max_iter=400_000):
-    """High-accuracy solve whose duality gap certifies the result."""
+def solve_oracle(problem, lam, tol=1e-12, max_iter=400_000, m0=None):
+    """High-accuracy solve whose duality gap certifies the result, started
+    from ``m0`` when given (the gap certifies it wherever it starts)."""
     res = solve(problem, lam, SolveConfig(gap_tol=min(tol, 1e-13),
-                                          max_iter=max_iter))
+                                          max_iter=max_iter), m0=m0)
     assert res.gap <= tol, f"oracle solve stuck at gap {res.gap:.3e}"
     return res
 

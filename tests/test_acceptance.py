@@ -256,8 +256,8 @@ def test_criterion_06_rule_oracles():
         if np.linalg.norm(np.minimum(q, 0.0)) > 0.9 * r:
             continue
         h = rng.normal(size=d)
-        mn = _orthant_min(h, q, r)
-        if mn is None:
+        mn = _orthant_min(h[None], q, r)[0]
+        if np.isnan(mn):
             continue
         ref = numeric_p3_min(q, r, h)
         assert abs(mn - ref) <= 1e-6 * max(1.0, abs(ref))

@@ -236,6 +236,26 @@ class TestCli:
                   + int(r["n_unknown"]) for r in rows}
         assert len(totals) == 1  # every row sums to the triplet count
 
+    def test_converged_column(self, tmp_path):
+        path = write_dataset(tmp_path)
+        easy = tmp_path / "easy"
+        assert run(RunConfig(data=str(path), k=2, trials=1, seed=0,
+                             out=str(easy))) == 0
+        assert {r["converged"] for r in read_rows(easy / "per_lambda.csv")} \
+            == {"1"}
+        summary = read_rows(easy / "summary.csv")
+        assert {float(r["mean_converged"]) for r in summary} == {1.0}
+
+        # Three iterations leave the solves below lambda_max short of
+        # gap_tol; the column reads 0 there and follows the gap everywhere.
+        capped = tmp_path / "capped"
+        assert run(RunConfig(data=str(path), k=2, trials=1, seed=0,
+                             max_iter=3, out=str(capped))) == 0
+        rows = read_rows(capped / "per_lambda.csv")
+        assert sum(r["converged"] == "0" for r in rows) >= len(rows) - 1
+        for r in rows:
+            assert r["converged"] == ("1" if float(r["gap"]) <= 1e-6 else "0")
+
     def test_main_end_to_end(self, tmp_path, capsys):
         path = write_dataset(tmp_path, seed=7)
         out = tmp_path / "res"

@@ -364,7 +364,7 @@ class TestNonnegRule:
         prob = scalar_triplet(diagonal=True)  # diag(H) = [1]
         s = Sphere(center=np.array([3.0]), radius=1.0)
         assert verdicts(prob, s, "nonneg")[0] == TripletStatus.UPPER
-        assert _orthant_min(np.array([1.0]), np.array([3.0]), 1.0) == 2.0
+        assert _orthant_min(np.array([1.0])[None], np.array([3.0]), 1.0)[0] == 2.0
 
     def test_inactive_constraint_equals_sphere_minimum(self):
         rng = np.random.default_rng(6)
@@ -375,7 +375,7 @@ class TestNonnegRule:
             r = 0.5
             if np.any(q - r * h / np.linalg.norm(h) < 0):
                 continue
-            mn = _orthant_min(h, q, r)
+            mn = _orthant_min(h[None], q, r)[0]
             assert np.isclose(mn, h @ q - r * np.linalg.norm(h), rtol=1e-9)
 
     def test_matches_numerical_solver(self):
@@ -387,11 +387,72 @@ class TestNonnegRule:
             if np.linalg.norm(np.minimum(q, 0.0)) > 0.9 * r:
                 continue
             h = rng.normal(size=d)
-            mn = _orthant_min(h, q, r)
-            if mn is None:
+            mn = _orthant_min(h[None], q, r)[0]
+            if np.isnan(mn):
                 continue
             ref = numeric_p3_min(q, r, h)
             assert abs(mn - ref) <= 1e-6 * max(1.0, abs(ref))
+
+    def test_batch_rows_match_numerical_solver(self):
+        # One call over rows that exercise every branch of the kernel.
+        q = np.array([1.0, 2.0, -0.2, 1.5, 0.0])
+        r = 0.8
+        h = np.array([
+            [0.0, 0.0, 0.0, 0.0, 0.0],        # H = 0
+            [0.4, 0.8, 0.1, -0.5, 0.3],       # breakpoints 0.2, 0.2, 0, 0, 0
+            0.7 * q,                          # h parallel to q
+            -0.7 * q,
+            [1.0, -2.0, 0.5, 0.3, -0.4],      # mixed signs
+            [-0.3, 0.2, -1.0, 0.0, 0.6],
+            [2.0, -0.1, -0.5, -1.2, 0.0],
+        ])
+        mn = _orthant_min(h, q, r)
+        assert mn.shape == (len(h),)
+        assert mn[0] == 0.0
+        for row, value in zip(h[1:], mn[1:]):
+            ref = numeric_p3_min(q, r, row)
+            assert abs(value - ref) <= 1e-6 * max(1.0, abs(ref)), (row, value)
+
+    def test_face_inside_ball_gives_zero(self):
+        # h >= 0: the minimum is 0 once the face {x_k = 0 where h_k > 0}
+        # reaches into the ball, here at distance 0.36 < 0.5.
+        q = np.array([0.3, 2.0, 0.2])
+        mn = _orthant_min(np.array([[1.0, 0.0, 2.0], [1.0, 1.0, 2.0]]), q, 0.5)
+        assert mn[0] == 0.0
+        # With every coordinate weighted the face is the origin, outside.
+        assert mn[1] > 0.0
+        ref = numeric_p3_min(q, 0.5, np.array([1.0, 1.0, 2.0]))
+        assert abs(mn[1] - ref) <= 1e-6 * max(1.0, abs(ref))
+
+    def test_zero_radius_is_the_center(self):
+        rng = np.random.default_rng(8)
+        q = np.array([1.0, 0.0, 2.5, -1e-16])  # the last is within 1e-15
+        h = rng.normal(size=(6, 4))
+        assert np.array_equal(_orthant_min(h, q, 0.0),
+                              h @ np.maximum(q, 0.0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6))
+    def test_never_exceeds_a_feasible_value(self, seed, d):
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=d) + 0.5
+        r = float(rng.uniform(0.1, 2.0))
+        h = rng.normal(size=(8, d))
+        h[rng.random((8, d)) < 0.3] = 0.0
+        mn = _orthant_min(h, q, r)
+        # Points of the ball pushed into the orthant, kept where still
+        # strictly inside the ball.
+        step = rng.normal(size=(200, d))
+        step *= (r * rng.random((200, 1)) ** (1.0 / d)
+                 / np.linalg.norm(step, axis=1, keepdims=True))
+        x = np.maximum(q + step, 0.0)
+        x = x[np.linalg.norm(x - q, axis=1) < r]
+        if x.size == 0:
+            return
+        # A strictly feasible point exists: every row has a finite minimum.
+        assert not np.isnan(mn).any()
+        vals = h @ x.T
+        assert np.all(mn[:, None] <= vals + 1e-12 * (1.0 + np.abs(vals)))
 
     def test_requires_diagonal_sphere(self):
         prob = scalar_triplet()
@@ -401,7 +462,8 @@ class TestNonnegRule:
 
     def test_empty_intersection_returns_unknown(self):
         # The ball around -5 misses the orthant: no minimum to certify with.
-        assert _orthant_min(np.array([1.0]), np.array([-5.0]), 1.0) is None
+        assert np.isnan(_orthant_min(np.array([1.0])[None], np.array([-5.0]),
+                                     1.0)[0])
         # screen_all applies the sphere rule first (it would call the 1-d
         # ball LOWER), so the rule itself is checked where that is undecided:
         # diag(H) = [0.5, 1], <H, Q> = 0.5, ||H|| = 1.118.
