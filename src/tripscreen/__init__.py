@@ -11,7 +11,7 @@ from .bounds import (DualityGap, Sphere, dual_gap_bound, gap_bound,
                      relaxed_path_bound)
 from .rules import (HalfSpace, ScreenCounts, TripletStatus,
                     halfspace_from_iterate, lambda_ranges_all, screen_all)
-from .solver import ScreenEvent, SolveConfig, SolveResult, bb_step, solve
+from .solver import SolveConfig, SolveResult, bb_step, solve
 from .path import (PathConfig, PathRecord, PathResult, lambda_max, loss_term,
                    run_path)
 from .datasets import (DatasetFormatError, gaussian_blobs, load_csv,

@@ -41,11 +41,10 @@ def _require_positive(lam: float, name: str = "lam"):
 
 class DualityGap(NamedTuple):
     """Duality gap of the (reduced) objective at a metric M, with what it
-    was computed from.  Per-row arrays cover the free rows ``rows`` (every
-    triplet when None)."""
+    was computed from.  Per-row arrays cover the unknown triplets in index
+    order (every triplet without statuses)."""
 
     value: float
-    rows: Optional[np.ndarray]
     x: np.ndarray            # <H_t, M>
     alpha: np.ndarray        # dual weights
     loss_sum: float          # loss part of the objective at M, pins included
@@ -117,7 +116,7 @@ def gap(problem: MetricProblem, m: np.ndarray, lam: float,
     if pins is not None and pins.n_lower:
         loss_sum += (pins.n_lower * (1.0 - 0.5 * loss.gamma)
                      - float(np.vdot(pins.sum_h_lower, m)))
-    return DualityGap(value=value, rows=rows, x=x, alpha=a,
+    return DualityGap(value=value, x=x, alpha=a,
                       loss_sum=loss_sum, s=s)
 
 

@@ -36,7 +36,7 @@ class RunConfig:
     stop_threshold: float = 0.01
     gap_tol: float = 1e-6
     max_iter: int = 20000
-    screen_every: int = 10
+    screen_every: int = 3
     bound: str = "relaxed-path"
     rule: str = "sphere"
     active_set: bool = False

@@ -4,11 +4,13 @@ active-set mode.
 The optimizer minimizes the reduced objective over the metric cone: the
 regularized triplet loss with every screened triplet pinned to its certified
 piece of the loss (linear for LOWER, zero for UPPER).  Safe verdicts leave
-the minimizer unchanged.  Every ``screen_every`` iterations a checkpoint
-computes the duality gap of that reduced objective with ``bounds.gap``,
-over the unknown triplets only, so a checkpoint gets cheaper as screening
-proceeds.  The checkpoint then rebuilds the configured sphere from the
-current iterate, re-screens the unknown triplets, and tests termination.
+the minimizer unchanged.  Every ``screen_every`` iterations (3 by default) a
+checkpoint computes the duality gap of that reduced objective with
+``bounds.gap``, over the unknown triplets only, so a checkpoint gets cheaper
+as screening proceeds.  The checkpoint then rebuilds the configured sphere
+from the current iterate, re-screens the unknown triplets, and tests
+termination.  It also supplies that iteration's gradient, lam M - S, so a
+checkpoint costs one pass over the unknown triplets, not two.
 
 ``gap`` in a ``SolveResult`` refers to the reduced objective.  A solve ends
 converged once the gap reaches ``gap_tol``; it ends unconverged at
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,8 +36,9 @@ BOUND_CHOICES = ("none", "gradient", "projected-gradient", "dual-gap",
 RULE_CHOICES = ("sphere", "linear", "psd", "nonneg")
 # A solve whose best gap has not fallen over this many checkpoints in a row
 # has met the rounding floor of its gap (or makes no progress) and stops.
-# Spectral steps are not monotone: converging solves of the test suite went
-# up to 322 checkpoints without a new best gap.
+# Spectral steps are not monotone: at the default cadence of 3, converging
+# solves of the test suite went up to 43 checkpoints without a new best gap,
+# those of the benchmark workloads up to 4.
 STALL_CHECKPOINTS = 1000
 # Triplets within this distance above the zero-loss threshold stay in the
 # working set so that spectral-step overshoot cannot strand the iterate
@@ -47,7 +50,7 @@ ACTIVE_MARGIN = 0.5
 class SolveConfig:
     gap_tol: float = 1e-6
     max_iter: int = 20000
-    screen_every: int = 10
+    screen_every: int = 3
     bound: str = "none"
     rule: str = "sphere"
     active_set: bool = False
@@ -61,15 +64,6 @@ class SolveConfig:
             raise ValueError(f"bound must be one of {BOUND_CHOICES}")
         if self.rule not in RULE_CHOICES:
             raise ValueError(f"rule must be one of {RULE_CHOICES}")
-
-
-@dataclass
-class ScreenEvent:
-    iteration: int
-    gap: float
-    new_lower: int
-    new_upper: int
-    remaining: int
 
 
 @dataclass
@@ -91,7 +85,6 @@ class SolveResult:
     gap: float
     iterations: int
     statuses: np.ndarray
-    screening_log: List[ScreenEvent]
     wall_time: float
     screen_time: float
     converged: bool
@@ -144,6 +137,26 @@ def _build_spheres(problem, lam, config, m, cert, pins):
     return spheres
 
 
+def _checkpoint_grad(problem, lam, m, cert, pins, fixed, x_fixed):
+    """Gradient lam M - S of the reduced objective at a checkpoint's ``m``.
+
+    ``cert.s`` sums S_L and alpha_t H_t over the rows unknown at the gap;
+    after its scan the active working set holds every unknown row with
+    alpha_t > 0, so this is the step's gradient in both modes.  The rows
+    ``fixed`` by the screen since the gap (``x_fixed`` their <H_t, M>) move
+    from alpha_t to their pinned weight, 1 for LOWER and 0 for UPPER, in one
+    ``accumulate`` over the rows whose weight changes.
+    """
+    grad = lam * m - cert.s
+    alpha = problem.alpha_from_inner(x_fixed)
+    shift = np.where(pins.statuses[fixed] == TripletStatus.LOWER,
+                     1.0 - alpha, -alpha)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        grad -= problem.accumulate(shift[moved], fixed[moved])
+    return grad
+
+
 def solve(problem: MetricProblem, lam: float, config: SolveConfig,
           m0: Optional[np.ndarray] = None,
           statuses: Optional[np.ndarray] = None) -> SolveResult:
@@ -153,9 +166,19 @@ def solve(problem: MetricProblem, lam: float, config: SolveConfig,
     ``config.active_set`` the gradients between checkpoints use only the
     working set of triplets whose loss was positive (or within
     ``ACTIVE_MARGIN`` of the threshold) at the latest refresh; screened
-    triplets never enter it.  Each checkpoint rescans the unknown triplets,
-    pulling violated ones back in, and certifies optimality through the
-    duality gap of the reduced objective.
+    triplets never enter it.  Each checkpoint (every ``screen_every``
+    iterations, 3 by default) rescans the unknown triplets, pulling violated
+    ones back in, and certifies optimality through the duality gap of the
+    reduced objective.  The gap's dual sum S also gives that iteration's
+    gradient lam M - S, corrected for the triplets the checkpoint screened,
+    so no second pass over the triplets is made there.
+
+    Steps are spectral (``bb_step``).  Where no step history exists, a
+    finite-difference curvature probe along the gradient caps the step, but
+    only where the curvature can have risen: at a cold start, after a step
+    cut, and when the working set gains triplets.  New verdicts and a
+    working set shrunk by screening keep the current step, because pinning
+    a triplet to its linear or zero piece can only remove curvature.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -174,7 +197,7 @@ def solve(problem: MetricProblem, lam: float, config: SolveConfig,
     step = 1.0 / lam
     prev_m = None
     prev_grad = None
-    events: List[ScreenEvent] = []
+    probe = True
     last_primal = math.inf
     best_primal = math.inf
     best_m = m
@@ -186,8 +209,9 @@ def solve(problem: MetricProblem, lam: float, config: SolveConfig,
     it = 0
 
     while True:
-        if (it % config.screen_every == 0 or force_checkpoint
-                or it >= config.max_iter):
+        checkpoint = (it % config.screen_every == 0 or force_checkpoint
+                      or it >= config.max_iter)
+        if checkpoint:
             force_checkpoint = False
             cert = sb.gap(problem, m, lam, pins)
             primal = cert.loss_sum + 0.5 * lam * float(np.vdot(m, m))
@@ -202,6 +226,7 @@ def solve(problem: MetricProblem, lam: float, config: SolveConfig,
                 m = best_m
                 step *= 0.5
                 prev_m = prev_grad = None
+                probe = True
                 bad_checkpoints = 0
                 last_primal = math.inf
                 continue
@@ -210,6 +235,7 @@ def solve(problem: MetricProblem, lam: float, config: SolveConfig,
                 if bad_checkpoints >= 5:
                     step *= 0.5
                     prev_m = prev_grad = None
+                    probe = True
                     bad_checkpoints = 0
             else:
                 bad_checkpoints = 0
@@ -221,6 +247,7 @@ def solve(problem: MetricProblem, lam: float, config: SolveConfig,
                 stale_checkpoints += 1
             x_at_m[pins.unknown] = cert.x
 
+            fixed = np.empty(0, dtype=np.int64)
             if config.bound != "none" and pins.unknown.size:
                 ts = time.perf_counter()
                 spheres = _build_spheres(problem, lam, config, m, cert, pins)
@@ -234,15 +261,13 @@ def solve(problem: MetricProblem, lam: float, config: SolveConfig,
                                     rule=config.rule, halfspace=halfspace,
                                     inner_cache=cache)
                 if counts.new_lower or counts.new_upper:
+                    fixed = pins.unknown[pins.statuses[pins.unknown]
+                                         != TripletStatus.UNKNOWN]
                     pins.absorb(before_lower)
                     # The reduced objective changed: its gradients and
                     # values are not comparable with the earlier ones.
                     prev_m = prev_grad = None
                     best_primal = last_primal = math.inf
-                events.append(ScreenEvent(iteration=it, gap=cert.value,
-                                          new_lower=counts.new_lower,
-                                          new_upper=counts.new_upper,
-                                          remaining=counts.remaining))
                 screen_time += time.perf_counter() - ts
             if config.active_set:
                 # Grow-only scan: pull in every unknown triplet with positive
@@ -251,9 +276,11 @@ def solve(problem: MetricProblem, lam: float, config: SolveConfig,
                 # screening or by re-initialization at the next warm start.
                 live = pins.unknown
                 wanted = live[x_at_m[live] < 1.0 + ACTIVE_MARGIN]
-                new_active = np.union1d(
-                    np.intersect1d(active, live, assume_unique=True), wanted)
+                kept = np.intersect1d(active, live, assume_unique=True)
+                new_active = np.union1d(kept, wanted)
                 if not np.array_equal(new_active, active):
+                    # Gained rows can add curvature; lost ones were screened.
+                    probe = probe or new_active.size > kept.size
                     active = new_active
                     prev_m = prev_grad = None  # working set changed
             if cert.value <= config.gap_tol:
@@ -262,30 +289,34 @@ def solve(problem: MetricProblem, lam: float, config: SolveConfig,
             if stale_checkpoints >= STALL_CHECKPOINTS:
                 stalled = True
                 break
-        if it >= config.max_iter:
-            break
+            if it >= config.max_iter:
+                break
+            grad = _checkpoint_grad(problem, lam, m, cert, pins, fixed,
+                                    x_at_m[fixed])
 
         work = active if config.active_set else pins.unknown
 
         def reduced_grad(point):
             return problem.gradient(point, lam, work) - pins.sum_h_lower
 
-        grad = reduced_grad(m)
+        if not checkpoint:
+            grad = reduced_grad(m)
         if prev_m is not None:
             # Spectral step, capped at doubling per iteration: unchecked
             # proposals can jump by orders of magnitude on badly conditioned
             # problems and hurl the iterate off the cone.
             step = min(bb_step(m - prev_m, grad - prev_grad, step), 2.0 * step)
-        else:
-            # No history (cold start, or the objective just changed): probe
-            # the curvature along the gradient ray so the first step is
-            # stable even when the loss term dominates the regularizer.
+        elif probe:
+            # No history and the curvature may have risen: probe it along
+            # the gradient ray so the first step is stable even when the
+            # loss term dominates the regularizer.
             gnorm = float(np.linalg.norm(grad))
             if gnorm > 0.0:
                 delta = 1e-6 * max(1.0, float(np.linalg.norm(m))) / gnorm
                 curv = float(np.vdot(grad - reduced_grad(m - delta * grad),
                                      grad)) / (delta * gnorm ** 2)
                 step = min(step, 1.0 / max(curv, lam))
+        probe = False
         prev_m, prev_grad = m, grad
         m_new = problem.project(m - step * grad)
         if (config.active_set
@@ -303,7 +334,7 @@ def solve(problem: MetricProblem, lam: float, config: SolveConfig,
     n_boundary = int(np.count_nonzero((cert.x >= 1.0 - gamma)
                                       & (cert.x <= 1.0)))
     return SolveResult(metric=m, gap=cert.value, iterations=it,
-                       statuses=pins.statuses, screening_log=events,
+                       statuses=pins.statuses,
                        wall_time=time.perf_counter() - t0,
                        screen_time=screen_time, converged=converged,
                        loss_sum=cert.loss_sum, n_boundary=n_boundary,

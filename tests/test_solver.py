@@ -5,6 +5,7 @@ from tripscreen import (Dataset, MetricProblem, SmoothedHingeLoss,
                         SolveConfig, TripletStatus, bb_step, build_triplets,
                         gaussian_blobs, lambda_max, loss_term, psd_split,
                         solve)
+import tripscreen.solver as solver_module
 from tripscreen.bounds import gap
 from conftest import random_instance, solve_oracle
 
@@ -198,6 +199,52 @@ class TestPgdSolve:
             gap_tol=1e-9, max_iter=50_000, bound="relaxed-path",
             rule="nonneg"))
         assert np.linalg.norm(res.metric - screened.metric) <= 1e-6
+
+
+class TestCheckpointGradient:
+    """A checkpoint hands its step lam M - S from the gap, corrected for the
+    triplets its screen fixed; that must be the reduced objective's gradient
+    over every unknown triplet, in both modes."""
+
+    @pytest.mark.parametrize("active_set", [False, True])
+    @pytest.mark.parametrize("lam_frac,m0_frac,corrected", [
+        # cold start, alpha = 1 everywhere: UPPER verdicts need -alpha
+        (0.2, None, TripletStatus.UPPER),
+        # warm start inside the optimum: LOWER verdicts need 1 - alpha
+        (0.05, 0.3, TripletStatus.LOWER)])
+    def test_matches_reduced_gradient(self, small_problem, monkeypatch,
+                                      active_set, lam_frac, m0_frac,
+                                      corrected):
+        prob = small_problem
+        lam = lam_frac * lambda_max(prob)
+        m0 = None if m0_frac is None else \
+            m0_frac * solve_oracle(prob, lam).metric
+        real = solver_module._checkpoint_grad
+        errors, decisive = [], []
+
+        def spy(problem, lam_, m, cert, pins, fixed, x_fixed):
+            grad = real(problem, lam_, m, cert, pins, fixed, x_fixed)
+            ref = (problem.gradient(m, lam_, pins.unknown)
+                   - pins.sum_h_lower)
+            errors.append(np.linalg.norm(grad - ref) / np.linalg.norm(ref))
+            status = pins.statuses[fixed]
+            alpha = problem.alpha_from_inner(x_fixed)
+            shifted = status[np.where(status == TripletStatus.LOWER,
+                                      alpha < 1.0, alpha > 0.0)]
+            decisive.append(np.any(status == TripletStatus.LOWER)
+                            and np.any(status == TripletStatus.UPPER)
+                            and np.any(shifted == corrected))
+            return grad
+
+        monkeypatch.setattr(solver_module, "_checkpoint_grad", spy)
+        res = solve(prob, lam, SolveConfig(gap_tol=1e-9, max_iter=50_000,
+                                           bound="dual-gap",
+                                           active_set=active_set), m0=m0)
+        assert res.converged
+        # a checkpoint where LOWER and UPPER verdicts both arrive and the
+        # screened rows' weights move
+        assert any(decisive)
+        assert max(errors) <= 1e-10
 
 
 class TestActiveSetSolve:
