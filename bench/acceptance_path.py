@@ -9,9 +9,10 @@ The problem and both path configurations are those of the ``timed_benchmark``
 fixture in ``tests/test_acceptance.py`` (2000 x 19 Gaussian blobs, two
 classes, k = 10, active set; the screened path adds the relaxed-path sphere
 rule and range screening).  BLAS runs on one thread.  The script appends one
-record (label, commit, both walls, their ratio, path steps, solver
-iterations, mid-path median ``rate_total``) to the ``runs`` list of
-``BENCH_acceptance_path.json`` at the repository root, creating it if needed.
+record (label, commit, triplet and pair counts, both walls, their ratio, path
+steps, solver iterations, mid-path median ``rate_total``) to the ``runs``
+list of ``BENCH_acceptance_path.json`` at the repository root, creating it
+if needed.
 """
 
 import os
@@ -107,6 +108,7 @@ def main(argv=None):
         "date": time.strftime("%Y-%m-%d %H:%M:%S %Z"),
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, BLAS 1 thread",
         "n_triplets": problem.n_triplets,
+        "n_pairs": problem.triplets.n_pairs,
         "baseline": base,
         "screened": screened,
         "ratio": round(t_scr / t_base, 4),

@@ -64,13 +64,7 @@ def _free_rows(problem: MetricProblem, statuses):
 def _dual_sum(problem: MetricProblem, a: np.ndarray, pins, rows) -> np.ndarray:
     """S = S_L + sum over the free rows of a_t H_t."""
     s = problem.zero_metric() if pins is None else pins.sum_h_lower
-    support = np.flatnonzero(a > 0.0)
-    if support.size == a.size:
-        return s + problem.accumulate(a, rows)
-    if support.size:
-        return s + problem.accumulate(
-            a[support], support if rows is None else rows[support])
-    return s
+    return s + problem.accumulate(a, rows)
 
 
 def gap(problem: MetricProblem, m: np.ndarray, lam: float,

@@ -3,8 +3,17 @@
 The learned metric is a PSD matrix M (or a nonnegative vector in diagonal
 mode).  Each triplet (i, j, l) with y_i == y_j != y_l contributes the rank-2
 comparison matrix H = u u^T - v v^T, u = x_i - x_l, v = x_i - x_j, which is
-never materialized densely: all objective and screening quantities reduce to
-inner products against u and v.
+never materialized densely.  The triplets share their pairs of points: u and
+v are the rows o_t and s_t of one table of pair vectors z = x_a - x_b, a few
+times shorter than the triplet list.  The two kernels that every objective
+and screening pass goes through work on that table:
+
+    <H_t, M>      = q[o_t] - q[s_t],       q_p = z_p^T M z_p,
+    sum_t w_t H_t = sum_p c_p z_p z_p^T,   c = bincount(o, w) - bincount(s, w),
+
+the second being the gradient identity of large-margin nearest neighbors
+(Weinberger & Saul, JMLR 2009).  Per-row geometry (||H_t||, the rows the PSD
+and nonneg rules need) gathers u and v from the table.
 """
 
 from __future__ import annotations
@@ -103,25 +112,93 @@ class Dataset:
 
 
 class TripletSet:
-    """Vectorized triplet storage: index arrays plus stacked u/v factors."""
+    """Triplets stored by their pairs: index arrays plus one pair table.
+
+    ``pairs`` holds pair vectors z = x_a - x_b, and each triplet t =
+    (anchor, same, other) names two of its rows: ``p_other[t]`` for
+    u_t = x_i - x_l and ``p_same[t]`` for v_t = x_i - x_j, so that
+    H_t = z_o z_o^T - z_s z_s^T.  ``hnorm`` is ||H_t||_F per triplet.
+
+    The constructor takes the rows u and v (m x d each) of m triplets and
+    stores them as the 2m-row table [u; v]; ``from_pairs`` takes a table
+    and the pair ids, as ``build_triplets`` emits them.  ``u``, ``v`` and
+    ``rows`` gather triplet rows from the table.
+    """
 
     def __init__(self, anchor, same, other, u, v):
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if u.shape != v.shape:
+            raise ValueError("triplet arrays must have equal length")
+        ids = np.arange(u.shape[0], dtype=np.int64)
+        self._store(anchor, same, other, np.concatenate([u, v]),
+                    ids + u.shape[0], ids)
+
+    @classmethod
+    def from_pairs(cls, anchor, same, other, pairs, p_same, p_other):
+        ts = cls.__new__(cls)
+        ts._store(anchor, same, other, pairs, p_same, p_other)
+        return ts
+
+    def _store(self, anchor, same, other, pairs, p_same, p_other):
         self.anchor = np.asarray(anchor, dtype=np.int64)
         self.same = np.asarray(same, dtype=np.int64)
         self.other = np.asarray(other, dtype=np.int64)
-        self.u = np.ascontiguousarray(u, dtype=float)
-        self.v = np.ascontiguousarray(v, dtype=float)
-        if not (len(self.anchor) == len(self.same) == len(self.other)
-                == self.u.shape[0] == self.v.shape[0]):
+        self.pairs = np.ascontiguousarray(pairs, dtype=float)
+        self.p_same = np.asarray(p_same, dtype=np.int64)
+        self.p_other = np.asarray(p_other, dtype=np.int64)
+        m = len(self.anchor)
+        if not (len(self.same) == len(self.other) == len(self.p_same)
+                == len(self.p_other) == m):
             raise ValueError("triplet arrays must have equal length")
-        self.hnorm = _rank2_norm(self.u, self.v)
+        if m and (min(self.p_same.min(), self.p_other.min()) < 0
+                  or max(self.p_same.max(), self.p_other.max())
+                  >= self.n_pairs):
+            raise ValueError("pair ids must index rows of the pair table")
+        self.hnorm = _by_row_blocks(
+            m, lambda rows: _rank2_norm(*self.rows(rows)))
 
     def __len__(self) -> int:
-        return self.u.shape[0]
+        return len(self.anchor)
 
     @property
     def dim(self) -> int:
-        return self.u.shape[1]
+        return self.pairs.shape[1]
+
+    @property
+    def n_pairs(self) -> int:
+        return self.pairs.shape[0]
+
+    def rows(self, idx):
+        """(u, v) rows of the triplets ``idx`` (an index array or a slice),
+        gathered from the pair table."""
+        return self.pairs[self.p_other[idx]], self.pairs[self.p_same[idx]]
+
+    @property
+    def u(self) -> np.ndarray:
+        """u_t = x_i - x_l for every triplet, gathered (m x d)."""
+        return self.pairs[self.p_other]
+
+    @property
+    def v(self) -> np.ndarray:
+        """v_t = x_i - x_j for every triplet, gathered (m x d)."""
+        return self.pairs[self.p_same]
+
+
+# Triplet rows gathered at once for per-row geometry: a block bounds the
+# u/v temporaries, never m x d.
+_ROW_BLOCK = 8192
+
+
+def _by_row_blocks(m: int, per_row) -> np.ndarray:
+    """Concatenation of ``per_row(slice)`` over blocks of ``_ROW_BLOCK``
+    triplets; each row's value is computed by the same arithmetic whatever
+    the block."""
+    out = np.empty(m)
+    for start in range(0, m, _ROW_BLOCK):
+        block = slice(start, min(start + _ROW_BLOCK, m))
+        out[block] = per_row(block)
+    return out
 
 
 def _rank2_parts(u: np.ndarray, v: np.ndarray):
@@ -163,45 +240,75 @@ def build_triplets(data: Dataset, k: Optional[int] = None) -> TripletSet:
     broken by smaller sample index).  ``k=None`` uses all available neighbors.
 
     Order is deterministic: ascending anchor, then same-neighbor rank, then
-    other-neighbor rank.  Distances are formed one block of anchors at a
-    time, each entry by the same arithmetic whatever the block.
+    other-neighbor rank.  The pair table holds, anchor by anchor, its ks
+    same-class pairs followed by its ko other-class pairs, which its ks ko
+    triplets share.  Distances are formed one block of anchors at a time,
+    each entry by the same arithmetic whatever the block.
     """
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
     x = data.features
-    y = data.labels
     n = data.n_samples
+    _, cls = np.unique(data.labels, return_inverse=True)
+    classes = range(int(cls.max()) + 1)
+    pools = [(np.flatnonzero(cls == c), np.flatnonzero(cls != c))
+             for c in classes]
+    # (ks, ko): every anchor of a class has the same neighbor counts.
+    counts = [(s.size - 1 if k is None else min(k, s.size - 1),
+               o.size if k is None else min(k, o.size)) for s, o in pools]
+    near = [([], []) for _ in classes]
 
     sq = np.einsum("nd,nd->n", x, x)
-    anchors, sames, others = [], [], []
-    idx_all = np.arange(n)
     for start in range(0, n, _ANCHOR_BLOCK):
         stop = min(start + _ANCHOR_BLOCK, n)
         dist2 = (sq[start:stop, None] + sq[None, :]
                  - 2.0 * np.einsum("bd,nd->bn", x[start:stop], x))
         np.maximum(dist2, 0.0, out=dist2)
-        for i in range(start, stop):
-            same_pool = idx_all[(y == y[i]) & (idx_all != i)]
-            other_pool = idx_all[y != y[i]]
-            if same_pool.size == 0 or other_pool.size == 0:
+        # Each anchor sorts first in its own class, and is dropped there.
+        dist2[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        for c in classes:
+            (same_pool, other_pool), (ks, ko) = pools[c], counts[c]
+            rows = np.flatnonzero(cls[start:stop] == c)
+            if rows.size == 0 or ks == 0 or ko == 0:
                 continue
-            ks = same_pool.size if k is None else min(k, same_pool.size)
-            ko = other_pool.size if k is None else min(k, other_pool.size)
-            row = dist2[i - start]
-            same_order = same_pool[np.lexsort((same_pool, row[same_pool]))][:ks]
-            other_order = other_pool[np.lexsort((other_pool, row[other_pool]))][:ko]
-            anchors.append(np.full(ks * ko, i, dtype=np.int64))
-            sames.append(np.repeat(same_order, ko))
-            others.append(np.tile(other_order, ks))
+            block = dist2[rows]
+            # A stable sort over an ascending pool breaks ties by index.
+            near[c][0].append(same_pool[np.argsort(
+                block[:, same_pool], axis=1, kind="stable")[:, 1:ks + 1]])
+            near[c][1].append(other_pool[np.argsort(
+                block[:, other_pool], axis=1, kind="stable")[:, :ko]])
 
-    if not anchors:
+    built = [c for c in classes if near[c][0]]
+    if not built:
         raise ValueError("no triplets could be built (need mixed-class data)")
-    anchor = np.concatenate(anchors)
-    same = np.concatenate(sames)
-    other = np.concatenate(others)
-    u = x[anchor] - x[other]
-    v = x[anchor] - x[same]
-    return TripletSet(anchor, same, other, u, v)
+    n_tri = np.zeros(n, dtype=np.int64)
+    n_pair = np.zeros(n, dtype=np.int64)
+    for c in built:
+        ks, ko = counts[c]
+        n_tri[pools[c][0]] = ks * ko
+        n_pair[pools[c][0]] = ks + ko
+    tri_start = np.cumsum(n_tri) - n_tri
+    pair_start = np.cumsum(n_pair) - n_pair
+    m = int(n_tri.sum())
+    same, other, p_same, p_other = (np.empty(m, dtype=np.int64)
+                                    for _ in range(4))
+    pair_end = np.empty(int(n_pair.sum()), dtype=np.int64)
+    for c in built:
+        ks, ko = counts[c]
+        members = pools[c][0]
+        near_same = np.concatenate(near[c][0])    # members x ks
+        near_other = np.concatenate(near[c][1])   # members x ko
+        base = pair_start[members][:, None]
+        pair_end[base + np.arange(ks)] = near_same
+        pair_end[base + ks + np.arange(ko)] = near_other
+        slots = tri_start[members][:, None] + np.arange(ks * ko)
+        same[slots] = np.repeat(near_same, ko, axis=1)
+        other[slots] = np.tile(near_other, (1, ks))
+        p_same[slots] = base + np.repeat(np.arange(ks), ko)
+        p_other[slots] = base + ks + np.tile(np.arange(ko), ks)
+    anchor = np.repeat(np.arange(n, dtype=np.int64), n_tri)
+    pairs = x[np.repeat(np.arange(n), n_pair)] - x[pair_end]
+    return TripletSet.from_pairs(anchor, same, other, pairs, p_same, p_other)
 
 
 class TripletStatus(enum.IntEnum):
@@ -232,11 +339,13 @@ class MetricProblem:
         self.loss = loss
         self.diagonal = bool(diagonal)
         if self.diagonal:
-            u, v = triplets.u, triplets.v
-            self.h_diag = (u - v) * (u + v)
-            self.h_norms = np.linalg.norm(self.h_diag, axis=1)
+            # diag(H_t) = z_o * z_o - z_s * z_s: the pair kernels run on z * z.
+            self._table = triplets.pairs * triplets.pairs
+            self.h_norms = _by_row_blocks(
+                len(triplets),
+                lambda rows: np.linalg.norm(self.diag_rows(rows), axis=1))
         else:
-            self.h_diag = None
+            self._table = triplets.pairs
             self.h_norms = triplets.hnorm
 
     @property
@@ -257,29 +366,36 @@ class MetricProblem:
     # -- inner products and rank-2 accumulation ---------------------------
 
     def inner(self, m: np.ndarray, idx: Optional[np.ndarray] = None) -> np.ndarray:
-        """<H_t, M> for each triplet (restricted to ``idx`` when given)."""
+        """<H_t, M> for each triplet (restricted to ``idx`` when given):
+        q_p = z_p^T M z_p over the pair table, then q_o - q_s per triplet."""
         ts = self.triplets
-        if self.diagonal:
-            h = self.h_diag if idx is None else self.h_diag[idx]
-            return h @ m
-        u = ts.u if idx is None else ts.u[idx]
-        v = ts.v if idx is None else ts.v[idx]
-        return np.einsum("md,md->m", u @ m, u) - np.einsum("md,md->m", v @ m, v)
+        z = self._table
+        q = z @ m if self.diagonal else np.einsum("pd,pd->p", z @ m, z)
+        if idx is None:
+            return q[ts.p_other] - q[ts.p_same]
+        return q[ts.p_other[idx]] - q[ts.p_same[idx]]
 
     def accumulate(self, weights: np.ndarray,
                    idx: Optional[np.ndarray] = None) -> np.ndarray:
         """sum_t weights_t H_t as a dense symmetric matrix (vector in
-        diagonal mode)."""
+        diagonal mode): sum_p c_p z_p z_p^T over the pairs with c_p != 0,
+        c = bincount(p_other, weights) - bincount(p_same, weights)."""
         ts = self.triplets
+        p_other = ts.p_other if idx is None else ts.p_other[idx]
+        p_same = ts.p_same if idx is None else ts.p_same[idx]
+        c = (np.bincount(p_other, weights, minlength=ts.n_pairs)
+             - np.bincount(p_same, weights, minlength=ts.n_pairs))
+        live = np.flatnonzero(c)
+        z = self._table[live]
         if self.diagonal:
-            h = self.h_diag if idx is None else self.h_diag[idx]
-            return h.T @ weights
-        u = ts.u if idx is None else ts.u[idx]
-        v = ts.v if idx is None else ts.v[idx]
-        wu = u * weights[:, None]
-        wv = v * weights[:, None]
-        s = wu.T @ u - wv.T @ v
+            return z.T @ c[live]
+        s = (z * c[live, None]).T @ z
         return (s + s.T) / 2.0
+
+    def diag_rows(self, idx) -> np.ndarray:
+        """Rows (u - v) * (u + v) = diag(H_t) of the triplets ``idx``."""
+        u, v = self.triplets.rows(idx)
+        return (u - v) * (u + v)
 
     def sum_h(self, idx: Optional[np.ndarray] = None) -> np.ndarray:
         count = self.n_triplets if idx is None else len(idx)

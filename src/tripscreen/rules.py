@@ -362,8 +362,7 @@ def _first_step_in_cone(problem, eig, rows, c, qh, r):
     Rows with tau == 0 or lam + tau not positive are left to the ascent.
     """
     ts = problem.triplets
-    u = ts.u[rows]
-    v = ts.v[rows]
+    u, v = ts.rows(rows)
     y0 = (c - qh) / ts.hnorm[rows] ** 2
     tau = _cone_tolerance(u, v, r)
     lam = eig.values
@@ -399,8 +398,7 @@ def _sdls_chunk(problem, q, r, rows, c, qh, x0h, budget):
     evaluates in closed form, and the rows it settles never reach here.
     """
     ts = problem.triplets
-    u = ts.u[rows]
-    v = ts.v[rows]
+    u, v = ts.rows(rows)
     hd = u[:, :, None] * u[:, None, :] - v[:, :, None] * v[:, None, :]
     hn2 = ts.hnorm[rows] ** 2
     q_sq = float(np.vdot(q, q))
@@ -474,17 +472,18 @@ def _sdls_chunk(problem, q, r, rows, c, qh, x0h, budget):
 def _nonneg_masks(problem, sphere, idx, qh=None):
     """Sphere verdicts tightened by the exact orthant minimum of <X, H>,
     then by that of -<X, H> on the open rows that did not fire UPPER."""
-    if problem.h_diag is None:
+    if not problem.diagonal:
         raise ValueError("nonneg rule requires a diagonal-mode problem")
     low, up, qh, hn = _sphere_masks(problem, sphere, idx, qh)
     q = sphere.center
     r = sphere.radius
     # NaN (cannot certify) fails both comparisons.
     rows = np.flatnonzero(~(low | up))
-    up[rows] = _orthant_min(problem.h_diag[idx[rows]], q, r) > 1.0
-    rows = rows[~up[rows]]
-    low[rows] = (-_orthant_min(-problem.h_diag[idx[rows]], q, r)
-                 < 1.0 - problem.loss.gamma)
+    h = problem.diag_rows(idx[rows])
+    up[rows] = _orthant_min(h, q, r) > 1.0
+    keep = ~up[rows]
+    rows, h = rows[keep], h[keep]
+    low[rows] = -_orthant_min(-h, q, r) < 1.0 - problem.loss.gamma
     return low, up
 
 

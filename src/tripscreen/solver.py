@@ -145,15 +145,14 @@ def _checkpoint_grad(problem, lam, m, cert, pins, fixed, x_fixed):
     alpha_t > 0, so this is the step's gradient in both modes.  The rows
     ``fixed`` by the screen since the gap (``x_fixed`` their <H_t, M>) move
     from alpha_t to their pinned weight, 1 for LOWER and 0 for UPPER, in one
-    ``accumulate`` over the rows whose weight changes.
+    ``accumulate`` over those rows (a row whose weight stays adds 0).
     """
     grad = lam * m - cert.s
-    alpha = problem.alpha_from_inner(x_fixed)
-    shift = np.where(pins.statuses[fixed] == TripletStatus.LOWER,
-                     1.0 - alpha, -alpha)
-    moved = np.flatnonzero(shift)
-    if moved.size:
-        grad -= problem.accumulate(shift[moved], fixed[moved])
+    if fixed.size:
+        alpha = problem.alpha_from_inner(x_fixed)
+        shift = np.where(pins.statuses[fixed] == TripletStatus.LOWER,
+                         1.0 - alpha, -alpha)
+        grad -= problem.accumulate(shift, fixed)
     return grad
 
 

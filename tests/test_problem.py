@@ -110,6 +110,24 @@ class TestBuildTriplets:
         # both same-class candidates sit at distance 2: the tie goes to index 1
         assert ts.same[anchor0[0]] == 1
 
+    @pytest.mark.parametrize("k", [1, 4, None])
+    def test_matches_per_anchor_reference(self, k):
+        # small integer data: squared distances are exact and tie often
+        rng = np.random.default_rng(9)
+        x = rng.integers(-3, 4, size=(40, 2)).astype(float)
+        y = rng.integers(0, 3, size=40)
+        y[7] = 3  # a singleton class anchors nothing
+        ts = build_triplets(Dataset(x, y), k=k)
+        expect = []
+        for i in range(40):
+            dist = [int(np.sum((x[j] - x[i]) ** 2)) for j in range(40)]
+            same = sorted((j for j in range(40) if y[j] == y[i] and j != i),
+                          key=lambda j: (dist[j], j))[:k]
+            other = sorted((j for j in range(40) if y[j] != y[i]),
+                           key=lambda j: (dist[j], j))[:k]
+            expect += [(i, j, l) for j in same for l in other]
+        assert list(zip(ts.anchor, ts.same, ts.other)) == expect
+
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("ties", [False, True])
     def test_anchor_blocks_match_one_block(self, monkeypatch, block, ties):
@@ -124,7 +142,8 @@ class TestBuildTriplets:
         whole = build_triplets(data, k=4)
         monkeypatch.setattr(problem_module, "_ANCHOR_BLOCK", block)
         blocked = build_triplets(data, k=4)
-        for field in ("anchor", "same", "other", "u", "v"):
+        for field in ("anchor", "same", "other", "pairs", "p_same", "p_other",
+                      "u", "v"):
             assert np.array_equal(getattr(blocked, field),
                                   getattr(whole, field))
 
@@ -201,6 +220,100 @@ class TestInnerProducts:
         for t_idx in range(0, len(prob.triplets), max(1, len(prob.triplets) // 20)):
             h = dense_h(prob.triplets.u[t_idx], prob.triplets.v[t_idx])
             assert np.isclose(vals[t_idx], np.vdot(m, h), rtol=1e-9)
+
+
+class TestPairTable:
+    """The pair-table kernels and geometry against the per-triplet rows
+    u = x_i - x_l and v = x_i - x_j formed from the features."""
+
+    @staticmethod
+    def instance(seed, k, diagonal):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(6, 31)), int(rng.integers(1, 5))
+        data = gaussian_blobs(n, d, int(rng.integers(2, 4)), seed=seed)
+        prob = MetricProblem(build_triplets(data, k=k),
+                             SmoothedHingeLoss(0.05), diagonal=diagonal)
+        x, ts = data.features, prob.triplets
+        return prob, x[ts.anchor] - x[ts.other], x[ts.anchor] - x[ts.same], rng
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, None]),
+           st.booleans(), st.booleans())
+    def test_kernels_match_per_triplet_sums(self, seed, k, diagonal, subset):
+        prob, u, v, rng = self.instance(seed, k, diagonal)
+        m = len(u)
+        idx = None
+        if subset:
+            idx = rng.choice(m, size=int(rng.integers(0, m + 1)),
+                             replace=False)
+            u, v = u[idx], v[idx]
+        w = rng.normal(size=len(u))
+        w[rng.random(len(u)) < 0.3] = 0.0
+        d = prob.dim
+        if diagonal:
+            metric = rng.normal(size=d)
+            uu, vv = (u * u) @ metric, (v * v) @ metric
+            acc = ((u * u - v * v) * w[:, None]).sum(axis=0)
+        else:
+            metric = rng.normal(size=(d, d))
+            metric = metric + metric.T
+            uu = np.einsum("md,de,me->m", u, metric, u)
+            vv = np.einsum("md,de,me->m", v, metric, v)
+            acc = (np.einsum("m,md,me->de", w, u, u)
+                   - np.einsum("m,md,me->de", w, v, v))
+        # x = u'Mu - v'Mv and the sums cancel: compare at the terms' scale.
+        x_scale = 1e-9 * (np.abs(uu) + np.abs(vv))
+        assert np.all(np.abs(prob.inner(metric, idx) - (uu - vv)) <= x_scale)
+        h_scale = np.abs(w) @ (np.sum(u * u, axis=1) + np.sum(v * v, axis=1))
+        assert np.allclose(prob.accumulate(w, idx), acc, rtol=1e-9,
+                           atol=1e-9 * h_scale)
+
+    @pytest.mark.parametrize("block", [7, problem_module._ROW_BLOCK])
+    @pytest.mark.parametrize("k", [2, None])
+    def test_norms_and_rows_bit_equal_to_feature_rows(self, monkeypatch,
+                                                       block, k):
+        monkeypatch.setattr(problem_module, "_ROW_BLOCK", block)
+        prob, u, v, _ = self.instance(21, k, diagonal=True)
+        ts = prob.triplets
+        assert np.array_equal(ts.hnorm, problem_module._rank2_norm(u, v))
+        assert np.array_equal(prob.h_norms,
+                              np.linalg.norm((u - v) * (u + v), axis=1))
+        rows = np.arange(len(ts))[::-2]
+        assert np.array_equal(prob.diag_rows(rows),
+                              ((u - v) * (u + v))[rows])
+        got_u, got_v = ts.rows(rows)
+        assert np.array_equal(got_u, u[rows])
+        assert np.array_equal(got_v, v[rows])
+        assert np.array_equal(ts.u, u) and np.array_equal(ts.v, v)
+
+    def test_one_pair_row_per_neighbor(self):
+        # class sizes 1, 3 and 6: the singleton anchors nothing, and each
+        # other anchor has min(k, size - 1) same and min(k, n - size) other
+        # neighbors, one pair each, shared by its triplets
+        rng = np.random.default_rng(4)
+        y = np.array([0] + [1] * 3 + [2] * 6)
+        ts = build_triplets(Dataset(rng.normal(size=(10, 2)), y), k=4)
+        sizes = {0: 1, 1: 3, 2: 6}
+        pairs = sum(min(4, sizes[c] - 1) + min(4, 10 - sizes[c])
+                    for c in y if sizes[c] > 1)
+        assert ts.n_pairs == pairs
+        assert len(ts) == sum(min(4, sizes[c] - 1) * min(4, 10 - sizes[c])
+                              for c in y)
+
+    def test_build_peak_memory(self):
+        # pairs (12 MB), five triplet index arrays (16 MB) and the norms
+        # (3 MB) are kept; row-sized u/v temporaries would add over 100 MB
+        import tracemalloc
+
+        data = gaussian_blobs(4000, 19, 2, seed=0)
+        tracemalloc.start()
+        try:
+            ts = build_triplets(data, k=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ts) == 400_000 and ts.n_pairs == 80_000
+        assert peak < 80 * 2 ** 20
 
 
 class TestObjectives:
